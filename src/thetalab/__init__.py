@@ -1,101 +1,11 @@
 """theta-lab: exact recomputation toolkit for a six-point base-locus count.
 
-Subpackages by theme: exact scalars (exact), polynomial and field
+Modules by theme: exact scalars (exact), polynomial and field
 plumbing (polys, fields), Verlinde numbers (verlinde), Hilbert
 polynomial fitting (hilbert), fixed-point splittings (lefschetz),
 genus-2 Jacobian arithmetic (hyperelliptic), bundle bookkeeping
 (bundles), and the self-checking report plus CLI (report, cli).
+Import from the modules; the package root exports only __version__.
 """
-from .bundles import (
-    BundleSymbol,
-    RaynaudInvariants,
-    UnsupportedGenus,
-    chi,
-    combine,
-    moduli_dim,
-    raynaud_invariants,
-    slope,
-    stability_allows,
-    theta_self_intersection,
-)
-from .errors import ThetaLabError
-from .exact import (
-    Cyclo,
-    NotRational,
-    ORACLE_PRECISION,
-    Rational,
-    cyclo_arith,
-    cyclo_sin,
-    cyclo_to_rational,
-    cyclotomic_polynomial,
-    euler_phi,
-)
-from .fields import PrimeField, QQ, RationalField, field_from_spec
-from .hilbert import (
-    HilbertFit,
-    NonIntegralChern,
-    SingularSystem,
-    canonical_power,
-    evaluate,
-    fit_hilbert,
-)
-from .hyperelliptic import (
-    CurvePoint,
-    DoesNotSplit,
-    EvenCharacteristic,
-    FieldTooLarge,
-    HyperellipticCurve,
-    MumfordDivisor,
-    NotSquarefree,
-    NotWeierstrass,
-    OrderTwo,
-    PicClass,
-    WrongDegree,
-    canonical_class,
-    cantor_add,
-    curve_points,
-    enumerate_pic,
-    h0,
-    identity,
-    involution,
-    is_weierstrass,
-    km2_points,
-    kx_w_pencil_member,
-    negate,
-    new_curve,
-    parse_class,
-    parse_curve,
-    parse_mumford,
-    point_class,
-    reduce_class,
-    scalar_mul,
-    serre_involution,
-    theta_translate_intersection,
-    two_torsion,
-    weierstrass_points,
-)
-from .lefschetz import (
-    FixedPointDatum,
-    Infeasible,
-    LefschetzScenario,
-    hom_ee_scenario,
-    hom_ow_scenario,
-    lefschetz_number,
-    split_eigendims,
-    sym2_possibilities,
-    sym2_rejected_scenario,
-    sym2_scenario,
-)
-from .polys import Poly, gcd, parse_poly, xgcd
-from .report import ReportRow, build_report, render_text, rows_from_json, rows_to_json
-from .verlinde import (
-    NotInteger,
-    VerlindePair,
-    admissible_pairs,
-    hilbert_values,
-    s_factor,
-    theta_eigendims,
-    verlinde_p2,
-)
 
 __version__ = "0.1.0"

@@ -81,14 +81,6 @@ def stability_allows(sub: BundleSymbol, ambient: BundleSymbol) -> bool:
     return slope(sub) < slope(ambient)
 
 
-def combine(a: BundleSymbol, b: BundleSymbol, op: str) -> BundleSymbol:
-    if op == "tensor":
-        return a.tensor(b)
-    if op == "hom":
-        return a.hom(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def moduli_dim(n: int, g: int) -> int:
     """Dimension n(2n+1)(g-1) of the moduli of rank-2n symplectic bundles."""
     if n < 1:

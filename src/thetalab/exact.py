@@ -1,11 +1,10 @@
-"""Exact scalars: arbitrary-precision rationals and cyclotomic field elements.
+"""Exact scalars: cyclotomic field elements over fractions.Fraction.
 
-Rational is fractions.Fraction, which already guarantees lowest terms and
-a positive denominator.  Cyclo represents an element of Q(zeta_N) in the
-power basis 1, zeta, ..., zeta^(phi(N)-1) reduced modulo the N-th
-cyclotomic polynomial; because the power basis is a Q-basis, equal
-elements of one field have identical coefficient vectors, and an element
-is rational exactly when every coefficient past the constant vanishes.
+Cyclo represents an element of Q(zeta_N) in the power basis 1, zeta, ...,
+zeta^(phi(N)-1) reduced modulo the N-th cyclotomic polynomial; because
+the power basis is a Q-basis, equal elements of one field have identical
+coefficient vectors, and an element is rational exactly when every
+coefficient past the constant vanishes.
 
 A high-precision floating evaluation (mpmath, 160-bit mantissa) serves as
 the independent cross-check oracle; it never feeds back into the exact
@@ -22,8 +21,6 @@ import mpmath
 from .errors import ThetaLabError
 from .fields import QQ
 from .polys import Poly, xgcd
-
-Rational = Fraction
 
 ORACLE_PRECISION = 160  # bits of mantissa for the floating oracle
 
@@ -210,19 +207,3 @@ def cyclo_sin(k: int, m: int) -> Cyclo:
     two_i = Cyclo.zeta(n, n // 4) * 2
     return (plus - minus) / two_i
 
-
-def cyclo_arith(a: Cyclo, b: Cyclo, op: str) -> Cyclo:
-    """Named-operation wrapper over the Cyclo operators."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def cyclo_to_rational(a: Cyclo) -> Fraction:
-    return a.to_rational()

@@ -88,10 +88,6 @@ def fit_hilbert(p0, p1, p2) -> HilbertFit:
     )
 
 
-def evaluate(fit: HilbertFit, n) -> Fraction:
-    return fit.evaluate(n)
-
-
 def canonical_power() -> int:
     """The ample power whose inverse is the canonical bundle of the moduli
     space: minus the adjoint Dynkin index of the rank-2 symplectic group.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
 from .errors import ThetaLabError
@@ -52,10 +53,17 @@ class FieldTooLarge(ThetaLabError):
     """Exhaustive enumeration is limited to small prime fields."""
 
 
+class InvariantViolated(ThetaLabError):
+    """A result failed the check that must hold by construction."""
+
+
 @dataclass(frozen=True)
 class HyperellipticCurve:
-    field: RationalField | PrimeField
     f: Poly
+
+    @property
+    def field(self) -> RationalField | PrimeField:
+        return self.f.field
 
     def __post_init__(self) -> None:
         if self.field.characteristic == 2:
@@ -65,11 +73,6 @@ class HyperellipticCurve:
         fprime = self.f.derivative()
         if fprime.is_zero or poly_gcd(self.f, fprime).degree != 0:
             raise NotSquarefree("f has a repeated root")
-
-    @property
-    def f_coeffs(self) -> tuple:
-        """The six coefficients of f, constant term first."""
-        return self.f.coeffs
 
     def point(self, x, y) -> CurvePoint:
         return CurvePoint(self, self.field(x), self.field(y))
@@ -117,18 +120,12 @@ def new_curve(field, f_coeffs) -> HyperellipticCurve:
         coeffs = coeffs[:5]
     if len(coeffs) != 5:
         raise ValueError("expected 5 coefficients c0..c4")
-    return HyperellipticCurve(F, Poly(F, coeffs + [1]))
+    return HyperellipticCurve(Poly(F, coeffs + [1]))
 
 
 def parse_curve(text: str) -> HyperellipticCurve:
     """Parse 'field=Q; f=c0,c1,c2,c3,c4' or 'field=Fp:<p>; f=...'."""
-    parts: dict[str, str] = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        key, _, value = chunk.partition("=")
-        parts[key.strip()] = value.strip()
+    parts = _key_value_parts(text)
     if set(parts) != {"field", "f"}:
         raise ValueError(f"curve spec needs 'field' and 'f': {text!r}")
     coeffs = [Fraction(c.strip()) for c in parts["f"].split(",")]
@@ -281,10 +278,6 @@ class MumfordDivisor:
         return f"u={self.u}; v={self.v}"
 
 
-def identity(curve: HyperellipticCurve) -> MumfordDivisor:
-    return MumfordDivisor.zero(curve)
-
-
 def negate(curve: HyperellipticCurve, a: MumfordDivisor) -> MumfordDivisor:
     return MumfordDivisor(curve, a.u, (-a.v) % a.u)
 
@@ -308,7 +301,7 @@ def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) 
 def scalar_mul(curve: HyperellipticCurve, a: MumfordDivisor, n: int) -> MumfordDivisor:
     if n < 0:
         return scalar_mul(curve, negate(curve, a), -n)
-    acc = identity(curve)
+    acc = MumfordDivisor.zero(curve)
     base = a
     while n:
         if n & 1:
@@ -378,7 +371,7 @@ def reduce_class(curve: HyperellipticCurve, points) -> PicClass:
             else:
                 point, mult = entry
                 items.append((point, int(mult)))
-    total = identity(curve)
+    total = MumfordDivisor.zero(curve)
     degree = 0
     for point, mult in items:
         degree += mult
@@ -391,7 +384,7 @@ def reduce_class(curve: HyperellipticCurve, points) -> PicClass:
 
 def canonical_class(curve: HyperellipticCurve) -> PicClass:
     """K = 2*[infinity] for the quintic model."""
-    return PicClass(identity(curve), 2)
+    return PicClass(MumfordDivisor.zero(curve), 2)
 
 
 def h0(curve: HyperellipticCurve, d: PicClass) -> int:
@@ -440,7 +433,8 @@ def km2_points(curve: HyperellipticCurve, M: PicClass) -> tuple[CurvePoint, Curv
         pair = (pts[0], pts[1])
     check = reduce_class(curve, pair)
     expected = canonical_class(curve) + M + M
-    assert check == expected, "effective pair does not reduce to K + 2M"
+    if check != expected:
+        raise InvariantViolated("effective pair does not reduce to K + 2M")
     return pair
 
 
@@ -461,13 +455,14 @@ def two_torsion(curve: HyperellipticCurve) -> list[PicClass]:
     generators = [MumfordDivisor.from_point(w) for w in ws[:4]]
     classes = []
     for mask in range(16):
-        acc = identity(curve)
+        acc = MumfordDivisor.zero(curve)
         for bit, gen in enumerate(generators):
             if mask >> bit & 1:
                 acc = cantor_add(curve, acc, gen)
         classes.append(PicClass(acc, 0))
     unique = sorted(set(classes), key=PicClass._key)
-    assert len(unique) == 16, "Weierstrass differences generated fewer than 16 classes"
+    if len(unique) != 16:
+        raise InvariantViolated("Weierstrass differences generated fewer than 16 classes")
     return unique
 
 
@@ -479,8 +474,8 @@ def kx_w_pencil_member(curve: HyperellipticCurve, w: CurvePoint, p: CurvePoint):
     for point in (w, p, involution(p)):
         support[point] = support.get(point, 0) + 1
     divisor = sorted(support.items(), key=lambda item: item[0]._key())
-    assert reduce_class(curve, divisor) == canonical_class(curve) + point_class(w), \
-        "pencil member is not in the class K + [w]"
+    if reduce_class(curve, divisor) != canonical_class(curve) + point_class(w):
+        raise InvariantViolated("pencil member is not in the class K + [w]")
     return divisor
 
 
@@ -509,14 +504,9 @@ def _enumeration_field(curve: HyperellipticCurve) -> PrimeField:
     return F
 
 
-_REDUCED_CACHE: dict[HyperellipticCurve, tuple[MumfordDivisor, ...]] = {}
-
-
+@cache
 def _all_reduced(curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...]:
-    """Every reduced Mumford pair over a small prime field."""
-    cached = _REDUCED_CACHE.get(curve)
-    if cached is not None:
-        return cached
+    """Every reduced Mumford pair over a small prime field, cached per curve."""
     F = _enumeration_field(curve)
     p = F.p
     f = curve.f
@@ -538,9 +528,7 @@ def _all_reduced(curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...]:
                     # and constant v0^2 - v1^2 u0
                     if (a * v0 - c1 - r1) % p == 0 and (v0 * v0 - c0 - r0) % p == 0:
                         found.append(MumfordDivisor(curve, u, Poly(F, (v0, v1))))
-    ordered = tuple(sorted(found, key=MumfordDivisor._key))
-    _REDUCED_CACHE[curve] = ordered
-    return ordered
+    return tuple(sorted(found, key=MumfordDivisor._key))
 
 
 def enumerate_pic(curve: HyperellipticCurve, degree: int) -> list[PicClass]:

@@ -3,13 +3,15 @@
 Each row recomputes one headline value through the public library
 surface and compares its canonical text rendering against the expected
 text in EXPECTED.  The EXPECTED table is module-level data so a fault
-injected there (or in the library) flips exactly the affected rows; the
-report never caches across calls.
+injected there (or in the library) flips exactly the affected rows.
+Values shared by several rows are computed once per report, inside the
+first row that needs them; nothing is cached across calls.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cache
 
 from . import bundles, hilbert, lefschetz, verlinde
 from . import hyperelliptic as hy
@@ -55,35 +57,30 @@ EXPECTED: dict[str, str] = {
 }
 
 
-def _fit():
-    return hilbert.fit_hilbert(*verlinde.hilbert_values())
-
-
-def _reference_curve() -> hy.HyperellipticCurve:
-    return hy.parse_curve(REFERENCE_CURVE_SPEC)
-
-
 def _computations():
-    eigen = verlinde.theta_eigendims(2, 2)
-    raynaud = bundles.raynaud_invariants()
-    w_times_k = bundles.BundleSymbol(4, 0).tensor(bundles.BundleSymbol(1, 2))
+    """(label, source, thunk) per row.  A failing shared value is not
+    cached, so it flips every row that uses it."""
+    values = cache(verlinde.hilbert_values)
+    fit = cache(lambda: hilbert.fit_hilbert(*values()))
+    eigen = cache(lambda: verlinde.theta_eigendims(2, 2))
+    raynaud = cache(bundles.raynaud_invariants)
     return [
         ("p(0)", "verlinde.hilbert_values",
-         lambda: verlinde.hilbert_values()[0]),
+         lambda: values()[0]),
         ("p(1)", "verlinde.hilbert_values",
-         lambda: verlinde.hilbert_values()[1]),
+         lambda: values()[1]),
         ("p(2)", "verlinde.verlinde_p2",
-         verlinde.verlinde_p2),
+         lambda: values()[2]),
         ("gamma", "hilbert.fit_hilbert",
-         lambda: _fit().gamma),
+         lambda: fit().gamma),
         ("basepoints", "hilbert.fit_hilbert",
-         lambda: _fit().chern_degree),
+         lambda: fit().chern_degree),
         ("canonical power", "hilbert.canonical_power",
          hilbert.canonical_power),
         ("h0(4Theta)+", "verlinde.theta_eigendims",
-         lambda: eigen[0]),
+         lambda: eigen()[0]),
         ("h0(4Theta)-", "verlinde.theta_eigendims",
-         lambda: eigen[1]),
+         lambda: eigen()[1]),
         ("sym2 split", "lefschetz.split_eigendims",
          lambda: lefschetz.split_eigendims(lefschetz.sym2_scenario())),
         ("sym2 rejected", "lefschetz.split_eigendims",
@@ -95,19 +92,19 @@ def _computations():
         ("moduli dim (2,2)", "bundles.moduli_dim",
          lambda: bundles.moduli_dim(2, 2)),
         ("mukai rank", "bundles.raynaud_invariants",
-         lambda: raynaud.mukai_rank),
+         lambda: raynaud().mukai_rank),
         ("duplication degree", "bundles.raynaud_invariants",
-         lambda: raynaud.duplication_degree),
+         lambda: raynaud().duplication_degree),
         ("pullback degree", "bundles.raynaud_invariants",
-         lambda: raynaud.pullback_degree_on_Y),
+         lambda: raynaud().pullback_degree_on_Y),
         ("slope E_c", "bundles.raynaud_invariants",
-         lambda: raynaud.slope_Ec),
+         lambda: raynaud().slope_Ec),
         ("chi(W x K)", "bundles.chi",
-         lambda: bundles.chi(w_times_k)),
+         lambda: bundles.chi(bundles.BundleSymbol(4, 0).tensor(bundles.BundleSymbol(1, 2)))),
         ("slope F", "bundles.slope",
          lambda: bundles.slope(bundles.BundleSymbol(3, 5))),
         ("|J[2]|", "hyperelliptic.two_torsion",
-         lambda: len(hy.two_torsion(_reference_curve()))),
+         lambda: len(hy.two_torsion(hy.parse_curve(REFERENCE_CURVE_SPEC)))),
         ("Theta^2", "bundles.theta_self_intersection",
          lambda: bundles.theta_self_intersection(1, 2)),
     ]

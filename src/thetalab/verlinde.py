@@ -9,10 +9,9 @@ rounding issue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ThetaLabError
-from .exact import Cyclo, cyclo_sin, cyclo_to_rational
+from .exact import Cyclo, cyclo_sin
 
 
 class NotInteger(ThetaLabError):
@@ -65,7 +64,7 @@ def verlinde_p2() -> int:
     for pair in admissible_pairs():
         term = s_factor(pair)
         total = total + (term * term).inverse()
-    value = cyclo_to_rational(total * 100)
+    value = (total * 100).to_rational()
     if value.denominator != 1:
         raise NotInteger(f"p(2) evaluated to {value}")
     return int(value)

@@ -16,7 +16,7 @@ import oracles
 
 CURVE13 = hy.parse_curve("field=Fp:13; f=0,-1,0,0,0")
 PIC13 = hy.enumerate_pic(CURVE13, 0)
-ZERO13 = hy.PicClass(hy.identity(CURVE13), 0)
+ZERO13 = hy.PicClass(hy.MumfordDivisor.zero(CURVE13), 0)
 
 
 def test_c01_verlinde_exactness():

@@ -7,7 +7,6 @@ from thetalab.bundles import (
     BundleSymbol,
     UnsupportedGenus,
     chi,
-    combine,
     moduli_dim,
     raynaud_invariants,
     slope,
@@ -72,13 +71,6 @@ class TestAlgebra:
         w = BundleSymbol(2, 0)
         e_f = BundleSymbol(2, -1)
         assert e_f.hom(w).det().degree == 2
-
-    def test_combine_dispatch(self):
-        a, b = BundleSymbol(2, -1), BundleSymbol(2, 1)
-        assert combine(a, b, "tensor") == a.tensor(b)
-        assert combine(a, b, "hom") == a.hom(b)
-        with pytest.raises(ValueError):
-            combine(a, b, "plus")
 
     def test_mixed_genus_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from thetalab import cli, report
+from thetalab import bundles, cli, report, verlinde
 
 CURVE13 = "field=Fp:13; f=0,-1,0,0,0"
 CURVE7 = "field=Fp:7; f=1,0,0,0,0"
@@ -53,6 +53,29 @@ class TestReport:
         for item in json.loads(out)["rows"]:
             assert item["status"] == "match"
             assert set(item) == {"label", "computed", "expected", "status", "source"}
+
+    def test_shared_value_failure_flips_its_rows(self, monkeypatch):
+        def fail(g=2):
+            raise bundles.UnsupportedGenus("injected")
+        monkeypatch.setattr(bundles, "raynaud_invariants", fail)
+        rows = report.build_report()
+        assert len(rows) == 21
+        failed = [r.label for r in rows if r.computed == "UnsupportedGenus"]
+        assert failed == ["mukai rank", "duplication degree", "pullback degree", "slope E_c"]
+        assert [r.label for r in rows if r.status == "mismatch"] == failed
+
+    def test_verlinde_p2_once_per_report(self, monkeypatch):
+        calls = []
+        original = verlinde.verlinde_p2
+
+        def counted():
+            calls.append(1)
+            return original()
+        monkeypatch.setattr(verlinde, "verlinde_p2", counted)
+        report.build_report()
+        assert len(calls) == 1
+        report.build_report()
+        assert len(calls) == 2
 
 
 class TestVerlinde:

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from thetalab.exact import (
     Cyclo,
     NotRational,
-    cyclo_arith,
     cyclo_sin,
-    cyclo_to_rational,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -65,16 +63,16 @@ class TestCycloSin:
         prod = Cyclo.from_rational(1)
         for k in range(1, 5):
             prod = prod * cyclo_sin(k, 5)
-        assert cyclo_to_rational(prod) == Fraction(5, 16)
+        assert prod.to_rational() == Fraction(5, 16)
 
     def test_pythagorean_identity(self):
         s = cyclo_sin(1, 10)
         c = cyclo_sin(4, 10)  # cos(pi/10)
-        assert cyclo_to_rational(s * s + c * c) == 1
+        assert (s * s + c * c).to_rational() == 1
 
     def test_irrational_detection(self):
         with pytest.raises(NotRational):
-            cyclo_to_rational(cyclo_sin(1, 5))
+            cyclo_sin(1, 5).to_rational()
         assert not cyclo_sin(1, 5).is_rational
         assert cyclo_sin(1, 2).is_rational
 
@@ -118,16 +116,14 @@ class TestCycloField:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            cyclo_arith(cyclo_sin(1, 5), Cyclo.from_rational(0), "div")
+            cyclo_sin(1, 5) / Cyclo.from_rational(0)
 
     def test_arith_dispatch(self):
         a, b = Cyclo.from_rational(3), Cyclo.from_rational(2)
-        assert cyclo_arith(a, b, "add") == 5
-        assert cyclo_arith(a, b, "sub") == 1
-        assert cyclo_arith(a, b, "mul") == 6
-        assert cyclo_arith(a, b, "div") == Fraction(3, 2)
-        with pytest.raises(ValueError):
-            cyclo_arith(a, b, "pow")
+        assert a + b == 5
+        assert a - b == 1
+        assert a * b == 6
+        assert a / b == Fraction(3, 2)
 
     def test_cross_modulus_embedding(self):
         assert Cyclo.zeta(40, 8) == Cyclo.zeta(5, 1)
@@ -143,5 +139,5 @@ class TestCycloField:
 
     def test_rational_round_trip(self):
         value = Fraction(7, 3)
-        assert cyclo_to_rational(Cyclo.from_rational(value)) == value
+        assert Cyclo.from_rational(value).to_rational() == value
         assert abs(float(Cyclo.from_rational(value)) - 7 / 3) < 1e-15

@@ -10,7 +10,6 @@ from thetalab.hilbert import (
     SingularSystem,
     _solve3,
     canonical_power,
-    evaluate,
     fit_hilbert,
 )
 from thetalab.polys import Poly
@@ -38,25 +37,25 @@ class TestFit:
         assert fit.chern_degree == 6
 
     def test_reproduces_inputs_exactly(self, fit):
-        assert evaluate(fit, 0) == 1
-        assert evaluate(fit, 1) == 10
-        assert evaluate(fit, 2) == 58
+        assert fit.evaluate(0) == 1
+        assert fit.evaluate(1) == 10
+        assert fit.evaluate(2) == 58
 
     def test_forward_values(self, fit):
         for n, expected in zip(range(3, 11), VALUES_3_TO_10):
-            assert evaluate(fit, n) == expected
+            assert fit.evaluate(n) == expected
 
     def test_vanishing_at_minus_1_to_5(self, fit):
         for n in range(-5, 0):
-            assert evaluate(fit, n) == 0
+            assert fit.evaluate(n) == 0
 
     def test_integer_values_on_window(self, fit):
         for n in range(-10, 11):
-            assert evaluate(fit, n).denominator == 1
+            assert fit.evaluate(n).denominator == 1
 
     def test_symmetry_pointwise(self, fit):
         for n in range(-12, 13):
-            assert evaluate(fit, n) == evaluate(fit, -6 - n)
+            assert fit.evaluate(n) == fit.evaluate(-6 - n)
 
 
 class TestPolynomial:
@@ -99,6 +98,6 @@ class TestErrors:
 
 class TestEvaluateRational:
     def test_evaluate_at_fraction(self, fit):
-        center = evaluate(fit, Fraction(-3))
+        center = fit.evaluate(Fraction(-3))
         assert center == 0
-        assert evaluate(fit, Fraction(-7, 2)) == evaluate(fit, Fraction(-5, 2))
+        assert fit.evaluate(Fraction(-7, 2)) == fit.evaluate(Fraction(-5, 2))

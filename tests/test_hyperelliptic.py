@@ -13,19 +13,19 @@ import oracles
 F13 = PrimeField(13)
 CURVE13 = hy.parse_curve("field=Fp:13; f=0,-1,0,0,0")
 PIC13 = hy.enumerate_pic(CURVE13, 0)
-ZERO13 = hy.PicClass(hy.identity(CURVE13), 0)
+ZERO13 = hy.PicClass(hy.MumfordDivisor.zero(CURVE13), 0)
 
 classes13 = st.sampled_from(PIC13)
 
 
 def pic_zero(curve):
-    return hy.PicClass(hy.identity(curve), 0)
+    return hy.PicClass(hy.MumfordDivisor.zero(curve), 0)
 
 
 class TestCurveValidation:
     def test_x5_minus_x_is_valid(self, curve13):
         assert curve13.f == parse_poly("x^5 + 12*x", F13)
-        assert curve13.f_coeffs == (0, 12, 0, 0, 0, 1)
+        assert curve13.f.coeffs == (0, 12, 0, 0, 0, 1)
 
     def test_cubed_factor_rejected(self):
         with pytest.raises(hy.NotSquarefree):
@@ -207,7 +207,7 @@ class TestReduceClass:
     def test_idempotent_through_base(self, curve13):
         cls = hy.reduce_class(curve13, [curve13.point(2, 2), curve13.point(6, 10)])
         again = hy.reduce_class(curve13, cls.base.points()) + hy.PicClass(
-            hy.identity(curve13), cls.degree - cls.base.u.degree)
+            hy.MumfordDivisor.zero(curve13), cls.degree - cls.base.u.degree)
         assert again == cls
 
     def test_equivalence_matches_fibre_oracle(self, curve13, rng):
@@ -480,6 +480,31 @@ class TestPencilMember:
     def test_not_weierstrass(self, curve13):
         with pytest.raises(hy.NotWeierstrass):
             hy.kx_w_pencil_member(curve13, curve13.point(2, 2), curve13.point(6, 3))
+
+
+class TestInvariantViolated:
+    """A broken invariant raises a coded error, which python -O keeps."""
+
+    @staticmethod
+    def reduce_to_canonical(curve, points):
+        return hy.canonical_class(curve)
+
+    def test_km2_pair_not_in_k_plus_2m(self, curve13, monkeypatch):
+        M = hy.parse_class(curve13, "u=x + 2; v=3; d=0")
+        monkeypatch.setattr(hy, "reduce_class", self.reduce_to_canonical)
+        with pytest.raises(hy.InvariantViolated) as info:
+            hy.km2_points(curve13, M)
+        assert info.value.code == "INVARIANT_VIOLATED"
+
+    def test_two_torsion_collapses(self, curve13, monkeypatch):
+        monkeypatch.setattr(hy, "cantor_add", lambda curve, a, b: hy.MumfordDivisor.zero(curve))
+        with pytest.raises(hy.InvariantViolated):
+            hy.two_torsion(curve13)
+
+    def test_pencil_member_outside_k_plus_w(self, curve13, monkeypatch):
+        monkeypatch.setattr(hy, "reduce_class", self.reduce_to_canonical)
+        with pytest.raises(hy.InvariantViolated):
+            hy.kx_w_pencil_member(curve13, curve13.point(0, 0), curve13.point(6, 3))
 
 
 class TestEnumeration:
