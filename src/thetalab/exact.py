@@ -1,26 +1,36 @@
-"""Exact scalars: cyclotomic field elements over fractions.Fraction.
+"""Exact scalars: cyclotomic field elements as integer vectors.
 
-Cyclo represents an element of Q(zeta_N) in the power basis 1, zeta, ...,
-zeta^(phi(N)-1) reduced modulo the N-th cyclotomic polynomial; because
-the power basis is a Q-basis, equal elements of one field have identical
-coefficient vectors, and an element is rational exactly when every
-coefficient past the constant vanishes.
+Cyclo represents an element of Q(zeta_N) as num / den: num is a tuple of
+phi(N) ints, the coordinates in the power basis 1, zeta, ...,
+zeta^(phi(N)-1), and den > 0 is one common denominator with
+gcd(num..., den) = 1.  The N-th cyclotomic polynomial Phi_N is monic with
+integer coefficients, so reducing modulo it is an integer long division.
+Because the power basis is a Q-basis and (num, den) is normalised, equal
+elements of one field have identical (num, den), and an element is
+rational exactly when every coordinate past the constant vanishes.
 
-A high-precision floating evaluation (mpmath, 160-bit mantissa) serves as
-the independent cross-check oracle; it never feeds back into the exact
-arithmetic.
+zeta and promote are index maps (zeta^k -> x^k, x^j -> x^(j*M/N)) followed
+by one reduction, and a product is an integer convolution followed by
+one reduction.  Only inverse leaves the integers, for one extended Euclid
+over Q (polys.xgcd).
+
+A high-precision floating evaluation (mpmath, 160-bit mantissa, imported
+on first use) serves as the independent cross-check oracle; it never
+feeds back into the exact arithmetic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .errors import ThetaLabError
 from .fields import QQ
 from .polys import Poly, xgcd
+
+if TYPE_CHECKING:
+    import mpmath
 
 ORACLE_PRECISION = 160  # bits of mantissa for the floating oracle
 
@@ -31,107 +41,205 @@ class NotRational(ThetaLabError):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+    """phi(n) = n * prod over the primes p dividing n of (1 - 1/p)."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    phi = rest = n
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
+
+
+@lru_cache(maxsize=None)
+def _phi_ints(n: int) -> tuple[int, ...]:
+    """Phi_n low to high as monic ints: x^n - 1 divided exactly by Phi_d
+    for every proper divisor d of n.  Every Cyclo construction path comes
+    here first, so this is where a modulus < 1 is rejected."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    c = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            divisor = _phi_ints(d)
+            deg = len(divisor) - 1
+            quo = [0] * (len(c) - deg)
+            for k in range(len(quo) - 1, -1, -1):
+                t = quo[k] = c[k + deg]
+                if t:
+                    for i, p in enumerate(divisor):
+                        c[k + i] -= t * p
+            c = quo
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), the nonzero (i, c_i) with i < phi(n) of Phi_n)."""
+    phi_n = _phi_ints(n)
+    return len(phi_n) - 1, tuple((i, c) for i, c in enumerate(phi_n[:-1]) if c)
+
+
+def _reduce(n: int, c: list[int]) -> list[int]:
+    """c mod Phi_n as a list of phi(n) ints, by one long division; c is
+    overwritten."""
+    phi, tail = _reducer(n)
+    for k in range(len(c) - 1, phi - 1, -1):
+        t = c[k]
+        if t:
+            base = k - phi
+            for i, p in tail:
+                c[base + i] -= t * p
+    if len(c) < phi:
+        c.extend([0] * (phi - len(c)))
+    else:
+        del c[phi:]
+    return c
+
+
+def _ints(coeffs) -> tuple[list[int], int]:
+    """Rationals as (numerators over their common denominator, it)."""
+    fs = [Fraction(c) for c in coeffs]
+    den = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (den // f.denominator) for f in fs], den
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Poly:
-    """Phi_n over Q, via Phi_n = (x^n - 1) / prod of Phi_d over proper divisors d."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    x = Poly.x(QQ)
-    num = x ** n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num //= cyclotomic_polynomial(d)
-    return num
+    """Phi_n over Q."""
+    return Poly(QQ, _phi_ints(n))
 
 
 class Cyclo:
-    """An element of Q(zeta_N), canonical in the power basis mod Phi_N."""
+    """An element num / den of Q(zeta_N), canonical in the power basis mod Phi_N."""
 
-    __slots__ = ("modulus", "coeffs")
+    __slots__ = ("modulus", "num", "den")
 
     def __init__(self, modulus: int, coeffs) -> None:
-        phi = euler_phi(modulus)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > phi:
+        phi, _ = _reducer(modulus)
+        num, den = _ints(coeffs)
+        if len(num) > phi:
             raise ValueError("coefficient vector longer than phi(N)")
-        cs += [Fraction(0)] * (phi - len(cs))
+        self._set(modulus, num + [0] * (phi - len(num)), den)
+
+    def _set(self, modulus: int, num: list[int], den: int) -> None:
+        g = gcd(*num, den)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, modulus: int, num: list[int], den: int) -> Cyclo:
+        """num / den from phi(modulus) ints and den > 0, normalised."""
+        self = object.__new__(cls)
+        self._set(modulus, num, den)
+        return self
+
+    @classmethod
+    def _from_terms(cls, modulus: int, terms, den: int = 1) -> Cyclo:
+        """(sum of c * zeta^e over the (e, c) in terms) / den."""
+        _reducer(modulus)  # rejects a modulus < 1 before the index map
+        c = [0] * modulus
+        for e, v in terms:
+            c[e % modulus] += v
+        return cls._make(modulus, _reduce(modulus, c), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(N) power-basis coordinates as rationals."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     @classmethod
     def from_rational(cls, value) -> Cyclo:
-        return cls(1, (Fraction(value),))
+        value = Fraction(value)
+        return cls._make(1, [value.numerator], value.denominator)
 
     @classmethod
     def from_poly(cls, modulus: int, poly: Poly) -> Cyclo:
-        return cls(modulus, (poly % cyclotomic_polynomial(modulus)).coeffs)
+        num, den = _ints(poly.coeffs)
+        return cls._make(modulus, _reduce(modulus, num), den)
 
     @classmethod
     def zeta(cls, modulus: int, power: int = 1) -> Cyclo:
         """zeta_N^power as a canonical element."""
-        x = Poly.x(QQ)
-        return cls.from_poly(modulus, x ** (power % modulus))
-
-    def _poly(self) -> Poly:
-        return Poly(QQ, self.coeffs)
+        return cls._from_terms(modulus, ((power, 1),))
 
     def promote(self, modulus: int) -> Cyclo:
         """Embed into Q(zeta_M) for a multiple M of the current modulus."""
         if modulus == self.modulus:
             return self
+        _reducer(modulus)  # rejects a modulus < 1 before the divisibility test
         if modulus % self.modulus != 0:
             raise ValueError("can only embed into a multiple of the modulus")
-        step = Poly.x(QQ) ** (modulus // self.modulus)
-        return Cyclo.from_poly(modulus, self._poly().compose(step))
+        step = modulus // self.modulus
+        terms = ((j * step, c) for j, c in enumerate(self.num) if c)
+        return Cyclo._from_terms(modulus, terms, self.den)
+
+    @staticmethod
+    def _coerce(b) -> Cyclo:
+        if isinstance(b, (int, Fraction)):
+            return Cyclo.from_rational(b)
+        if not isinstance(b, Cyclo):
+            raise TypeError(f"cannot combine Cyclo with {type(b).__name__}")
+        return b
 
     @staticmethod
     def _common(a: Cyclo, b) -> tuple[Cyclo, Cyclo]:
-        if isinstance(b, (int, Fraction)):
-            b = Cyclo.from_rational(b)
-        if not isinstance(b, Cyclo):
-            raise TypeError(f"cannot combine Cyclo with {type(b).__name__}")
+        b = Cyclo._coerce(b)
         n = lcm(a.modulus, b.modulus)
         return a.promote(n), b.promote(n)
 
     def __add__(self, other) -> Cyclo:
         a, b = Cyclo._common(self, other)
-        return Cyclo.from_poly(a.modulus, a._poly() + b._poly())
+        da, db = a.den, b.den
+        num = [x * db + y * da for x, y in zip(a.num, b.num)]
+        return Cyclo._make(a.modulus, num, da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> Cyclo:
-        return Cyclo(self.modulus, tuple(-c for c in self.coeffs))
+        return Cyclo._make(self.modulus, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> Cyclo:
-        return self + (-Cyclo._common(self, other)[1])
+        return self + (-Cyclo._coerce(other))
 
     def __rsub__(self, other) -> Cyclo:
         return (-self) + other
 
     def __mul__(self, other) -> Cyclo:
         a, b = Cyclo._common(self, other)
-        return Cyclo.from_poly(a.modulus, a._poly() * b._poly())
+        terms = [(j, y) for j, y in enumerate(b.num) if y]
+        out = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in terms:
+                    out[i + j] += x * y
+        return Cyclo._make(a.modulus, _reduce(a.modulus, out), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Cyclo:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi_n = cyclotomic_polynomial(self.modulus)
-        g, s, _ = xgcd(self._poly(), phi_n)
+        g, s, _ = xgcd(Poly(QQ, self.num), cyclotomic_polynomial(self.modulus))
         if g.degree != 0:
             raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        return Cyclo.from_poly(self.modulus, s * Poly.constant(QQ, QQ.inv(g[0])))
+        # g is monic, so s * num = 1 mod Phi_N and den * s is the inverse
+        num, den = _ints(s.coeffs)
+        num = _reduce(self.modulus, [c * self.den for c in num])
+        return Cyclo._make(self.modulus, num, den)
 
     def __truediv__(self, other) -> Cyclo:
         a, b = Cyclo._common(self, other)
@@ -154,19 +262,21 @@ class Cyclo:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational:
             raise NotRational(f"{self!r} has nonzero nonconstant coefficients")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def approx(self, prec: int = ORACLE_PRECISION) -> mpmath.mpc:
         """Honest floating value via zeta_N = exp(2 pi i / N) at high precision."""
+        import mpmath  # only floating output needs it; keeps CLI start-up light
+
         with mpmath.workprec(prec):
             z = mpmath.exp(2j * mpmath.pi / self.modulus)
             acc = mpmath.mpc(0)
@@ -183,7 +293,7 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = Cyclo._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # canonical modulus is not tracked across embeddings
 
@@ -194,16 +304,13 @@ class Cyclo:
 def cyclo_sin(k: int, m: int) -> Cyclo:
     """Exact sin(k*pi/m) in Q(zeta_N) with N = lcm(2m, 4).
 
-    Uses sin t = (e^(it) - e^(-it)) / 2i with e^(i*pi/m) = zeta_N^(N/2m)
-    and i = zeta_N^(N/4).
+    sin t = (e^(it) - e^(-it)) / 2i with e^(i*pi/m) = zeta_N^a, a = N/2m,
+    and 1/i = zeta_N^(3N/4), so sin(k*pi/m) = (zeta_N^(3N/4 + ak) -
+    zeta_N^(3N/4 - ak)) / 2: one index map and one reduction.
     """
     if m < 1:
         raise ValueError("m must be positive")
     n = lcm(2 * m, 4)
     a = n // (2 * m)
-    k = k % (2 * m)
-    plus = Cyclo.zeta(n, a * k)
-    minus = Cyclo.zeta(n, (-a * k) % n)
-    two_i = Cyclo.zeta(n, n // 4) * 2
-    return (plus - minus) / two_i
-
+    q = 3 * n // 4
+    return Cyclo._from_terms(n, ((q + a * k, 1), (q - a * k, -1)), 2)

@@ -1,16 +1,22 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes target values through a route disjoint from
-the library implementation: floating sines via mpmath, Jacobian orders
-via point counts over F_p and F_{p^2} fed into the zeta functional
-equation, divisor-class addition via CRT interpolation plus a single
-explicit reduction, and principality of split degree-4 divisors via the
-fibre-pairing criterion.
+the library implementation: floating sines via mpmath, cyclotomic
+arithmetic as dense polynomials over Q (the route the integer kernel in
+thetalab.exact replaced), Jacobian orders via point counts over F_p and
+F_{p^2} fed into the zeta functional equation, divisor-class addition via
+CRT interpolation plus a single explicit reduction, and principality of
+split degree-4 divisors via the fibre-pairing criterion.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
 import mpmath
 
+from thetalab.fields import QQ
 from thetalab.polys import Poly, xgcd
 
 
@@ -18,6 +24,65 @@ def mp_sin(k: int, m: int):
     """sin(k*pi/m) at 200-bit precision."""
     with mpmath.workprec(200):
         return mpmath.sin(mpmath.pi * k / m)
+
+
+@lru_cache(maxsize=None)
+def ref_cyclotomic_polynomial(n: int) -> Poly:
+    """Phi_n over Q as (x^n - 1) / prod of Phi_d over proper divisors d."""
+    x = Poly.x(QQ)
+    num = x ** n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            num //= ref_cyclotomic_polynomial(d)
+    return num
+
+
+# Reference cyclotomic arithmetic: an element of Q(zeta_N) is the tuple of
+# its phi(N) power-basis coefficients (Fractions), computed with Poly over
+# Q: x^k % Phi_N, compose for embeddings, xgcd for inverses.
+
+def _ref_mod(n: int, poly: Poly) -> tuple:
+    phi_n = ref_cyclotomic_polynomial(n)
+    cs = (poly % phi_n).coeffs
+    return cs + (Fraction(0),) * (phi_n.degree - len(cs))
+
+
+def ref_zeta(n: int, k: int) -> tuple:
+    return _ref_mod(n, Poly(QQ, [0] * (k % n) + [1]))
+
+
+def ref_promote(n: int, a, m: int) -> tuple:
+    return _ref_mod(m, Poly(QQ, a).compose(Poly.x(QQ) ** (m // n)))
+
+
+def ref_add(n: int, a, m: int, b) -> tuple:
+    common = lcm(n, m)
+    pa, pb = ref_promote(n, a, common), ref_promote(m, b, common)
+    return _ref_mod(common, Poly(QQ, pa) + Poly(QQ, pb))
+
+
+def ref_mul(n: int, a, b) -> tuple:
+    return _ref_mod(n, Poly(QQ, a) * Poly(QQ, b))
+
+
+def ref_inverse(n: int, a) -> tuple:
+    g, s, _ = xgcd(Poly(QQ, a), ref_cyclotomic_polynomial(n))
+    if g.degree != 0:
+        raise ZeroDivisionError("not invertible")
+    return _ref_mod(n, s * Poly.constant(QQ, QQ.inv(g[0])))
+
+
+@lru_cache(maxsize=None)
+def _ref_inverse_two_i(n: int) -> tuple:
+    return ref_inverse(n, (Poly(QQ, ref_zeta(n, n // 4)) * 2).coeffs)
+
+
+def ref_sin(k: int, m: int) -> tuple:
+    """sin(k*pi/m) in Q(zeta_N), N = lcm(2m, 4), as (e^(it) - e^(-it)) / 2i."""
+    n = lcm(2 * m, 4)
+    a = n // (2 * m)
+    diff = Poly(QQ, ref_zeta(n, a * k)) - Poly(QQ, ref_zeta(n, -a * k))
+    return ref_mul(n, diff.coeffs, _ref_inverse_two_i(n))
 
 
 def _eval_poly_mod(coeffs, x, p):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from thetalab.exact import (
 from thetalab.fields import QQ
 from thetalab.polys import Poly
 
-from oracles import mp_sin
+from oracles import mp_sin, ref_add, ref_inverse, ref_mul, ref_sin
 
 
 class TestCyclotomicPolynomial:
@@ -35,6 +36,15 @@ class TestCyclotomicPolynomial:
     def test_phi_40(self):
         x = Poly.x(QQ)
         assert cyclotomic_polynomial(40) == x ** 16 - x ** 12 + x ** 8 - x ** 4 + 1
+
+    def test_against_sympy_up_to_200(self):
+        import sympy
+
+        x = sympy.Symbol("x")
+        for n in range(1, 201):
+            expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+            assert cyclotomic_polynomial(n).coeffs == tuple(expected)
+            assert euler_phi(n) == sympy.totient(n)
 
     def test_product_over_divisors(self):
         x = Poly.x(QQ)
@@ -83,6 +93,55 @@ class TestCycloSin:
             k = rng.randint(0, 2 * m)
             exact = float(cyclo_sin(k, m))
             assert abs(exact - float(mp_sin(k, m))) < 1e-12
+
+
+MODULI = sorted({lcm(2 * m, 4) for m in range(1, 41)})
+
+
+def test_kernel_matches_poly_route_for_every_sine_modulus():
+    """Exact coefficient vectors against the dense Poly-over-Q reference,
+    for every N = lcm(2m, 4) with m <= 40: sines, products, sums across
+    moduli and inverses."""
+    rng = random.Random(20261017)
+    for m in range(1, 41):
+        n = lcm(2 * m, 4)
+        k1, k2 = rng.randrange(2 * m), rng.randrange(2 * m)
+        s, t = cyclo_sin(k1, m), cyclo_sin(k2, m)
+        ref_s, ref_t = ref_sin(k1, m), ref_sin(k2, m)
+        assert s.coeffs == ref_s
+        assert t.coeffs == ref_t
+        assert (s * t).coeffs == ref_mul(n, ref_s, ref_t)
+        # a partner r * zeta_d^j + q whose modulus d divides a multiple of
+        # n among the sine moduli, so the sum lives in Q(zeta_lcm(n, d)); a
+        # dense partner would make Euclid over Q (both routes) take over a minute
+        top = rng.choice([big for big in MODULI if big % n == 0])
+        d = rng.choice([d for d in range(1, top + 1) if top % d == 0 and d != n])
+        r, q = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(2))
+        other = r * Cyclo.zeta(d, rng.randrange(d)) + q
+        u = s + other
+        assert u.modulus == lcm(n, d)
+        assert u.coeffs == ref_add(n, ref_s, d, other.coeffs)
+        for v in (s, u):
+            if not v.is_zero:
+                assert v.inverse().coeffs == ref_inverse(v.modulus, v.coeffs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Cyclo(0, ()),
+    lambda: Cyclo(-4, ()),
+    lambda: Cyclo.zeta(0),
+    lambda: Cyclo.zeta(-3),
+    lambda: Cyclo.from_poly(0, Poly(QQ, [1])),
+    lambda: Cyclo.zeta(4).promote(0),
+    lambda: Cyclo.zeta(4).promote(-4),
+    lambda: Cyclo.zeta(4).promote(-3),
+    lambda: cyclotomic_polynomial(0),
+    lambda: euler_phi(-1),
+], ids=["init-0", "init-neg", "zeta-0", "zeta-neg", "from-poly-0",
+        "promote-0", "promote-neg-multiple", "promote-neg", "phi-poly-0", "euler-phi-neg"])
+def test_invalid_modulus_is_rejected(build):
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        build()
 
 
 def elements(modulus):

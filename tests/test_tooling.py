@@ -1,5 +1,8 @@
 """Source-level guards on the library code."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thetalab"
@@ -16,3 +19,13 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    """Only floating output needs mpmath; exact subcommands skip its import."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, thetalab.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
