@@ -1,8 +1,8 @@
 """Base fields for exact arithmetic: the rationals and odd prime fields.
 
-Field objects hold the arithmetic; elements are plain values (Fraction
-for Q, least nonnegative int residues for F_p), which keeps polynomials
-and divisors hashable.
+Field objects hold the arithmetic and keep no caches: a PrimeField holds
+only p.  Elements are plain values (Fraction for Q, least nonnegative int
+residues for F_p), which keeps polynomials and divisors hashable.
 """
 from __future__ import annotations
 
@@ -113,7 +113,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
-        self._sqrt_table: dict[int, int] | None = None
 
     def __call__(self, value) -> int:
         if isinstance(value, Fraction):
@@ -151,12 +150,27 @@ class PrimeField:
         return a * self.inv(b) % self.p
 
     def sqrt(self, a):
-        """A square root of a, or None if a is a nonresidue."""
-        if self._sqrt_table is None:
-            self._sqrt_table = {}
-            for y in range(self.p):
-                self._sqrt_table.setdefault(y * y % self.p, y)
-        return self._sqrt_table.get(a % self.p)
+        """The smaller square root of a, or None if a is a nonresidue, by Euler's
+        criterion and Tonelli-Shanks (Cohen, Alg. 1.5.1); nothing is cached."""
+        p, a = self.p, a % self.p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s, q odd
+        q = (p - 1) >> s
+        root, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+        if t != 1:
+            z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) != 1)
+            c, m = pow(z, q, p), s
+            while t != 1:
+                i, t2 = 1, t * t % p
+                while t2 != 1:
+                    i, t2 = i + 1, t2 * t2 % p
+                b = pow(c, 1 << (m - i - 1), p)
+                root, c, m = root * b % p, b * b % p, i
+                t = t * c % p
+        return min(root, p - root)
 
     def elements(self):
         return range(self.p)

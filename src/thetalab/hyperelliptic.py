@@ -152,22 +152,11 @@ def _fp_root_split(g: Poly, field: PrimeField) -> list:
     x = Poly.x(field)
     shift = 0
     while True:
-        probe = _pow_mod(x + shift, (field.p - 1) // 2, g) - 1
+        probe = pow(x + shift, (field.p - 1) // 2, g) - 1
         h = poly_gcd(g, probe)
         if 0 < h.degree < g.degree:
             return _fp_root_split(h, field) + _fp_root_split(g // h, field)
         shift += 1
-
-
-def _pow_mod(base: Poly, n: int, modulus: Poly) -> Poly:
-    acc = Poly.constant(base.field, base.field.one)
-    base = base % modulus
-    while n:
-        if n & 1:
-            acc = acc * base % modulus
-        base = base * base % modulus
-        n >>= 1
-    return acc
 
 
 def _rational_roots(g: Poly) -> list[Fraction]:
@@ -204,7 +193,7 @@ def weierstrass_points(curve: HyperellipticCurve) -> list[CurvePoint]:
     F = curve.field
     if isinstance(F, PrimeField):
         x = Poly.x(F)
-        radical = poly_gcd(curve.f, _pow_mod(x, F.p, curve.f) - x)
+        radical = poly_gcd(curve.f, pow(x, F.p, curve.f) - x)
         if radical.degree != 5:
             raise DoesNotSplit("f does not split over the base field")
         roots = _fp_root_split(radical, F)
@@ -301,13 +290,13 @@ def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) 
 def scalar_mul(curve: HyperellipticCurve, a: MumfordDivisor, n: int) -> MumfordDivisor:
     if n < 0:
         return scalar_mul(curve, negate(curve, a), -n)
-    acc = MumfordDivisor.zero(curve)
-    base = a
+    acc, base = MumfordDivisor.zero(curve), a
     while n:
         if n & 1:
             acc = cantor_add(curve, acc, base)
-        base = cantor_add(curve, base, base)
         n >>= 1
+        if n:
+            base = cantor_add(curve, base, base)
     return acc
 
 
@@ -426,14 +415,9 @@ def km2_points(curve: HyperellipticCurve, M: PicClass) -> tuple[CurvePoint, Curv
     double = scalar_mul(curve, M.base, 2)
     if double.u.degree == 0:
         raise OrderTwo("K + 2M is the canonical class")
-    if double.u.degree == 1:
-        pair = (double.points()[0], curve.infinity())
-    else:
-        pts = double.points()
-        pair = (pts[0], pts[1])
-    check = reduce_class(curve, pair)
-    expected = canonical_class(curve) + M + M
-    if check != expected:
+    pts = double.points() + [curve.infinity()]
+    pair = (pts[0], pts[1])
+    if reduce_class(curve, pair) != PicClass(double, 2):
         raise InvariantViolated("effective pair does not reduce to K + 2M")
     return pair
 
@@ -538,23 +522,21 @@ def enumerate_pic(curve: HyperellipticCurve, degree: int) -> list[PicClass]:
 
 def parse_mumford(curve: HyperellipticCurve, text: str) -> MumfordDivisor:
     """Parse the canonical printed form 'u=<poly>; v=<poly>'."""
-    parts = _key_value_parts(text)
-    if not {"u", "v"} <= set(parts):
-        raise ValueError(f"Mumford text needs 'u' and 'v': {text!r}")
-    u = parse_poly(parts["u"], curve.field)
-    v = parse_poly(parts["v"], curve.field)
-    return MumfordDivisor(curve, u, v)
+    return _parse_uv(curve, _key_value_parts(text), text)
 
 
 def parse_class(curve: HyperellipticCurve, text: str) -> PicClass:
     """Parse 'u=<poly>; v=<poly>' with an optional '; d=<degree>'."""
     parts = _key_value_parts(text)
     degree = int(parts.pop("d", "0"))
+    return PicClass(_parse_uv(curve, parts, text), degree)
+
+
+def _parse_uv(curve: HyperellipticCurve, parts: dict[str, str], text: str) -> MumfordDivisor:
     if set(parts) != {"u", "v"}:
         raise ValueError(f"class text needs 'u' and 'v': {text!r}")
-    u = parse_poly(parts["u"], curve.field)
-    v = parse_poly(parts["v"], curve.field)
-    return PicClass(MumfordDivisor(curve, u, v), degree)
+    return MumfordDivisor(curve, parse_poly(parts["u"], curve.field),
+                          parse_poly(parts["v"], curve.field))
 
 
 def _key_value_parts(text: str) -> dict[str, str]:

@@ -95,16 +95,19 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> Poly:
+    def __pow__(self, n: int, modulus: Poly | None = None) -> Poly:
+        """Square and multiply; pow(g, n, m) reduces mod m after each product."""
         if n < 0:
             raise ValueError("negative power")
-        acc = Poly.constant(self.field, self.field.one)
-        base = self
+        def reduce(g: Poly) -> Poly:
+            return g if modulus is None else g % modulus
+        acc, base = reduce(Poly.constant(self.field, self.field.one)), reduce(self)
         while n:
             if n & 1:
-                acc = acc * base
-            base = base * base
+                acc = reduce(acc * base)
             n >>= 1
+            if n:
+                base = reduce(base * base)
         return acc
 
     def __divmod__(self, other) -> tuple[Poly, Poly]:

@@ -1,0 +1,90 @@
+"""Prime-field square roots and polynomial powers against independent oracles."""
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from sympy.ntheory.residue_ntheory import sqrt_mod
+
+from thetalab.fields import PrimeField, QQ
+from thetalab.polys import Poly
+
+
+def smallest_roots(p):
+    """Brute force: the smallest y with y^2 = a, for every residue a."""
+    table = {}
+    for y in range(p):
+        table.setdefault(y * y % p, y)
+    return table
+
+
+class TestPrimeFieldSqrt:
+    # 65537 = 2^16 + 1 has the longest Tonelli-Shanks inner loop; at p = 2
+    # there is no nonresidue to search for.
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 41, 10007, 65537])
+    def test_every_element_against_brute_force(self, p):
+        F = PrimeField(p)
+        table = smallest_roots(p)
+        assert [F.sqrt(a) for a in range(p)] == [table.get(a) for a in range(p)]
+
+    def test_reduces_its_argument(self):
+        F = PrimeField(13)
+        assert F.sqrt(13 + 4) == 2
+        assert F.sqrt(-9) == F.sqrt(4)
+
+    # 998244353 = 119 * 2^23 + 1 exercises the nonresidue search at a large
+    # 2-adic valuation; the others have p - 1 = 2 * odd.
+    @pytest.mark.parametrize("p", [1000003, 2**31 - 1, 2**61 - 1, 10**9 + 7, 998244353])
+    def test_against_sympy(self, p):
+        rng = random.Random(p)
+        F = PrimeField(p)
+        samples = [0, 1, p - 1] + [rng.randrange(p) for _ in range(100)]
+        samples += [rng.randrange(p) ** 2 % p for _ in range(100)]
+        for a in samples:
+            roots = sqrt_mod(a, p, all_roots=True)
+            assert F.sqrt(a) == (min(roots) if roots else None), a
+
+    def test_bounded_memory_and_no_state(self):
+        tracemalloc.start()
+        try:
+            F = PrimeField(999983)
+            F.sqrt(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert set(vars(F)) == {"p", "characteristic"}
+        F.sqrt(3)
+        assert set(vars(F)) == {"p", "characteristic"}
+
+
+def random_poly(rng, field, degree):
+    if field == QQ:
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree)]
+    else:
+        coeffs = [rng.randrange(field.p) for _ in range(degree)]
+    return Poly(field, coeffs + [1])
+
+
+class TestPolyPow:
+    @pytest.mark.parametrize("field", [PrimeField(13), QQ], ids=str)
+    def test_modular_power_matches_power_then_remainder(self, field):
+        rng = random.Random(13)
+        for _ in range(3):
+            g = random_poly(rng, field, rng.randint(0, 2))
+            for m in (random_poly(rng, field, 3), random_poly(rng, field, 1),
+                      Poly.constant(field, 3)):
+                for n in (0, 1, 2, 13, 100):
+                    assert pow(g, n, m) == (g ** n) % m, (g, n, m)
+
+    def test_zero_power_modulo_a_constant_is_zero(self):
+        g = Poly(PrimeField(13), [1, 2, 1])
+        assert pow(g, 0, Poly.constant(PrimeField(13), 5)).is_zero
+        assert pow(g, 0, g) == Poly.constant(PrimeField(13), 1)
+
+    def test_negative_power_raises(self):
+        g = Poly(QQ, [1, 1])
+        with pytest.raises(ValueError):
+            g ** -1
+        with pytest.raises(ValueError):
+            pow(g, -2, Poly(QQ, [0, 0, 1]))

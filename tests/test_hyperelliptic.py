@@ -507,6 +507,32 @@ class TestInvariantViolated:
             hy.kx_w_pencil_member(curve13, curve13.point(0, 0), curve13.point(6, 3))
 
 
+class TestCantorCount:
+    """Each Cantor intermediate is computed once."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counter = {"n": 0}
+        add = hy.cantor_add
+
+        def counting_add(curve, a, b):
+            counter["n"] += 1
+            return add(curve, a, b)
+
+        monkeypatch.setattr(hy, "cantor_add", counting_add)
+        return counter
+
+    def test_theta_translate_intersection(self, curve13, calls):
+        M = hy.parse_class(curve13, "u=x + 2; v=3; d=0")
+        hy.theta_translate_intersection(curve13, M)
+        assert calls["n"] == 8
+
+    @pytest.mark.parametrize("n, expected", [(2, 2), (2**64 - 59, 123)])
+    def test_scalar_mul_stops_doubling_after_top_bit(self, curve13, calls, n, expected):
+        hy.scalar_mul(curve13, hy.parse_mumford(curve13, "u=x + 2; v=3"), n)
+        assert calls["n"] == expected
+
+
 class TestEnumeration:
     def test_all_degrees_same_size(self, curve13):
         assert len(hy.enumerate_pic(curve13, 0)) == len(hy.enumerate_pic(curve13, 1))
@@ -558,6 +584,9 @@ class TestParsing:
             hy.parse_mumford(curve13, "u=x")
         with pytest.raises(ValueError):
             hy.parse_class(curve13, "u=x; w=1")
+        for text in ("u=x; v=0; d=7", "u=x; v=0; junk=1"):
+            with pytest.raises(ValueError):
+                hy.parse_mumford(curve13, text)
 
     def test_rational_curve_class_round_trip(self, curveq):
         p = curveq.point(1, 0)
