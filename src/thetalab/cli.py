@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import bundles, hilbert, lefschetz, report, verlinde
 from . import hyperelliptic as hy
 from .errors import ThetaLabError
+from .fields import parse_rational
 
 
 def _cmd_report(args) -> int:
@@ -39,7 +39,7 @@ def _cmd_verlinde(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    values = [Fraction(v) for v in args.values.split(",")]
+    values = [parse_rational(v) for v in args.values.split(",")]
     if len(values) != 3:
         raise ValueError("--values needs exactly three comma-separated numbers")
     fit = hilbert.fit_hilbert(*values)

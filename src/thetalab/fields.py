@@ -1,20 +1,30 @@
 """Base fields for exact arithmetic: the rationals and odd prime fields.
 
-Field objects hold the arithmetic and keep no caches: a PrimeField holds
-only p.  Elements are plain values (Fraction for Q, least nonnegative int
-residues for F_p), which keeps polynomials and divisors hashable.
+Elements are plain values (Fraction for Q, least nonnegative int residues
+for F_p), which keeps polynomials and divisors hashable; callers combine
+them with Python's + - * and normalise the result with field(value).  A
+field object only normalises, inverts and takes square roots, and keeps
+no caches: a PrimeField holds only p.
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to all twelve bases (Sorenson-Webster 2015).
+_MR_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any modulus used here."""
+    """Deterministic Miller-Rabin with the first twelve prime bases, which is
+    a proof of primality only for n < 318665857834031151167461 (psi_12,
+    Sorenson-Webster); ValueError for larger n."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is proven only below {_MR_BOUND}, got {n}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
@@ -35,6 +45,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent larger in size than the
+    digit limit Python sets for int strings: '1e30000000' would otherwise
+    build a 30-million-digit integer before anything could reject it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    m = _EXPONENT.search(text)
+    if m and limit and abs(int(m.group(1))) > limit:
+        raise ValueError(f"exponent of {text.strip()!r} exceeds {limit}")
+    return Fraction(text)
+
+
 class RationalField:
     """The field Q; elements are fractions.Fraction in lowest terms."""
 
@@ -51,27 +75,10 @@ class RationalField:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
 
     def sqrt(self, a):
         """Exact square root, or None if a is not a rational square."""
@@ -115,6 +122,8 @@ class PrimeField:
         self.characteristic = p
 
     def __call__(self, value) -> int:
+        if isinstance(value, int):
+            return value % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p")
@@ -129,25 +138,10 @@ class PrimeField:
     def one(self) -> int:
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def sqrt(self, a):
         """The smaller square root of a, or None if a is a nonresidue, by Euler's

@@ -19,7 +19,7 @@ from functools import cache
 from math import isqrt, lcm
 
 from .errors import ThetaLabError
-from .fields import PrimeField, QQ, RationalField, field_from_spec
+from .fields import PrimeField, QQ, RationalField, field_from_spec, parse_rational
 from .polys import Poly, gcd as poly_gcd, parse_poly, xgcd
 
 ENUMERATION_FIELD_BOUND = 37
@@ -94,8 +94,7 @@ class CurvePoint:
 
     def __post_init__(self) -> None:
         if not self.at_infinity:
-            F = self.curve.field
-            if F.mul(self.y, self.y) != self.curve.f(self.x):
+            if self.curve.field(self.y * self.y) != self.curve.f(self.x):
                 raise ValueError(f"({self.x}, {self.y}) is not on the curve")
 
     def __str__(self) -> str:
@@ -128,7 +127,7 @@ def parse_curve(text: str) -> HyperellipticCurve:
     parts = _key_value_parts(text)
     if set(parts) != {"field", "f"}:
         raise ValueError(f"curve spec needs 'field' and 'f': {text!r}")
-    coeffs = [Fraction(c.strip()) for c in parts["f"].split(",")]
+    coeffs = [parse_rational(c.strip()) for c in parts["f"].split(",")]
     return new_curve(parts["field"], coeffs)
 
 
@@ -136,7 +135,7 @@ def involution(p: CurvePoint) -> CurvePoint:
     """The hyperelliptic involution (x, y) -> (x, -y)."""
     if p.at_infinity:
         return p
-    return CurvePoint(p.curve, p.x, p.curve.field.neg(p.y))
+    return CurvePoint(p.curve, p.x, p.curve.field(-p.y))
 
 
 def is_weierstrass(p: CurvePoint) -> bool:
@@ -148,7 +147,7 @@ def _fp_root_split(g: Poly, field: PrimeField) -> list:
     if g.degree == 0:
         return []
     if g.degree == 1:
-        return [field.neg(g[0])]
+        return [field(-g[0])]
     x = Poly.x(field)
     shift = 0
     while True:
@@ -206,7 +205,7 @@ def weierstrass_points(curve: HyperellipticCurve) -> list[CurvePoint]:
     return points + [curve.infinity()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MumfordDivisor:
     curve: HyperellipticCurve
     u: Poly
@@ -234,7 +233,7 @@ class MumfordDivisor:
         if p.at_infinity:
             return cls.zero(p.curve)
         F = p.curve.field
-        return cls(p.curve, Poly(F, [F.neg(p.x), F.one]), Poly.constant(F, p.y))
+        return cls(p.curve, Poly(F, (-p.x, 1)), Poly.constant(F, p.y))
 
     @property
     def is_zero(self) -> bool:
@@ -247,17 +246,14 @@ class MumfordDivisor:
         if self.u.degree == 0:
             return []
         if self.u.degree == 1:
-            x0 = F.neg(self.u[0])
+            x0 = F(-self.u[0])
             return [self.curve.point(x0, self.v(x0))]
-        disc = F.sub(F.mul(self.u[1], self.u[1]), F.mul(F(4), self.u[0]))
-        root = F.sqrt(disc)
+        u0, u1 = self.u[0], self.u[1]
+        root = F.sqrt(u1 * u1 - 4 * u0)
         if root is None:
             raise DoesNotSplit(f"u = {self.u} is irreducible")
         half = F.inv(F(2))
-        xs = sorted(
-            (F.mul(F.add(F.neg(self.u[1]), root), half),
-             F.mul(F.sub(F.neg(self.u[1]), root), half))
-        )
+        xs = sorted((F((root - u1) * half), F((-u1 - root) * half)))
         return [self.curve.point(x0, self.v(x0)) for x0 in xs]
 
     def _key(self):
@@ -474,7 +470,7 @@ def curve_points(curve: HyperellipticCurve) -> list[CurvePoint]:
             continue
         points.append(curve.point(x, y))
         if y != 0:
-            points.append(curve.point(x, F.neg(y)))
+            points.append(curve.point(x, -y))
     points.sort(key=CurvePoint._key)
     return points + [curve.infinity()]
 
@@ -535,8 +531,8 @@ def parse_class(curve: HyperellipticCurve, text: str) -> PicClass:
 def _parse_uv(curve: HyperellipticCurve, parts: dict[str, str], text: str) -> MumfordDivisor:
     if set(parts) != {"u", "v"}:
         raise ValueError(f"class text needs 'u' and 'v': {text!r}")
-    return MumfordDivisor(curve, parse_poly(parts["u"], curve.field),
-                          parse_poly(parts["v"], curve.field))
+    return MumfordDivisor(curve, parse_poly(parts["u"], curve.field, max_degree=2),
+                          parse_poly(parts["v"], curve.field, max_degree=2))
 
 
 def _key_value_parts(text: str) -> dict[str, str]:

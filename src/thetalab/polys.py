@@ -16,7 +16,7 @@ class Poly:
 
     def __init__(self, field, coeffs=()) -> None:
         cs = [field(c) for c in coeffs]
-        while cs and cs[-1] == field.zero:
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -62,20 +62,19 @@ class Poly:
         if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        F = self.field
-        return Poly(F, [F.add(self[i], other[i]) for i in range(n)])
+        return Poly(self.field, [self[i] + other[i] for i in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other) -> Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly(self.field, [self[i] - other[i] for i in range(n)])
 
     def __rsub__(self, other) -> Poly:
         return (-self) + other
@@ -86,12 +85,11 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly(self.field, ())
-        F = self.field
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
+                out[i + j] += a * b
+        return Poly(self.field, out)
 
     __rmul__ = __mul__
 
@@ -123,12 +121,13 @@ class Poly:
             return Poly(F, ()), self
         quo = [F.zero] * (dq + 1)
         inv_lc = F.inv(other.lc())
+        # rem accumulates unreduced; over F_p each entry stays below (deg + 2) p^2
         for k in range(dq, -1, -1):
-            c = F.mul(rem[k + other.degree], inv_lc)
+            c = F(rem[k + other.degree] * inv_lc)
             quo[k] = c
-            if c != F.zero:
+            if c:
                 for i, oc in enumerate(other.coeffs):
-                    rem[k + i] = F.sub(rem[k + i], F.mul(c, oc))
+                    rem[k + i] -= c * oc
         return Poly(F, quo), Poly(F, rem)
 
     def __floordiv__(self, other) -> Poly:
@@ -138,11 +137,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x):
-        F = self.field
-        acc = F.zero
+        acc = self.field.zero
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
+            acc = acc * x + c
+        return self.field(acc)
 
     def compose(self, inner: Poly) -> Poly:
         F = self.field
@@ -154,13 +152,11 @@ class Poly:
     def monic(self) -> Poly:
         if self.is_zero:
             return self
-        F = self.field
-        inv_lc = F.inv(self.lc())
-        return Poly(F, [F.mul(c, inv_lc) for c in self.coeffs])
+        inv_lc = self.field.inv(self.lc())
+        return Poly(self.field, [c * inv_lc for c in self.coeffs])
 
     def derivative(self) -> Poly:
-        F = self.field
-        return Poly(F, [F.mul(F(i), c) for i, c in enumerate(self.coeffs)][1:])
+        return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def divides(self, other: Poly) -> bool:
         return (other % self).is_zero
@@ -233,8 +229,9 @@ _TERM = re.compile(
 )
 
 
-def parse_poly(text: str, field) -> Poly:
-    """Parse the canonical printed form, e.g. 'x^2 - 3*x + 5/2'."""
+def parse_poly(text: str, field, max_degree: int | None = None) -> Poly:
+    """Parse the canonical printed form, e.g. 'x^2 - 3*x + 5/2'.  A term of
+    degree above max_degree is rejected before the dense list is built."""
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial")
@@ -253,6 +250,8 @@ def parse_poly(text: str, field) -> Poly:
             exp = 0
         else:
             exp = int(m.group("exp")) if m.group("exp") else 1
+        if max_degree is not None and exp > max_degree:
+            raise ValueError(f"term {raw!r} has degree above {max_degree}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
     size = max(coeffs) + 1
     out = [Fraction(0)] * size

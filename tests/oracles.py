@@ -203,7 +203,7 @@ def is_fibre_union(points) -> bool:
                 return False
             del bag[(x, y)]
             continue
-        partner = (x, field.neg(y))
+        partner = (x, field(-y))
         if bag.get(partner, 0) < mult:
             return False
         del bag[(x, y)]

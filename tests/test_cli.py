@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -273,6 +274,49 @@ class TestErrorCodes:
             capsys, "jac", "--curve", CURVE13, "h0", "--class", "u=x + 1; v=5; d=1")
         assert rc == 1
         assert err.startswith("error: INVALID_INPUT:")
+
+
+class TestBoundedInput:
+    """Inputs that would take unbounded time or memory fail with one error line."""
+
+    ADD = ["add", "--a", "u=x; v=0", "--b", "u=x - 1; v=0"]
+
+    def curve(self, p):
+        return f"field=Fp:{p}; f=0,-1,0,0,0"
+
+    @pytest.mark.parametrize("p", [318665857834031151167461, 2**89 - 1])
+    def test_modulus_beyond_the_primality_bound_rejected(self, capsys, p):
+        rc, out, err = run_cli(capsys, "jac", "--curve", self.curve(p), *self.ADD)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: INVALID_INPUT: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 998244353])
+    def test_large_primes_accepted(self, capsys, p):
+        rc, out, _ = run_cli(capsys, "jac", "--curve", self.curve(p), *self.ADD)
+        assert rc == 0
+        assert out == f"u=x^2 + {p - 1}*x; v=0; d=0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["jac", "--curve", "field=Q; f=0,-1,0,0,0", "h0", "--class", "u=x^1000000000; v=0; d=1"],
+        ["jac", "--curve", CURVE13, "h0", "--class", "u=x^2; v=x^1000000000"],
+        ["fit", "--values", "1e30000000,1,2"],
+        ["fit", "--values", "1,1E-30000000,2"],
+        ["jac", "--curve", "field=Fp:13; f=1e30000000,-1,0,0,0", "weierstrass"],
+        ["jac", "--curve", "field=Q; f=0,-1,0,0,-1e-30000000", "weierstrass"],
+    ])
+    def test_huge_exponent_rejected_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: INVALID_INPUT: ") and err.count("\n") == 1
+
+    def test_small_exponents_still_read(self, capsys):
+        assert run_cli(capsys, "fit", "--values", "1e0,1e1,5.8e1")[1] == \
+            run_cli(capsys, "fit", "--values", "1,10,58")[1]
+        rc, out, _ = run_cli(capsys, "jac", "--curve", "field=Fp:13; f=0,-1e0,0,0,0",
+                             "weierstrass")
+        assert rc == 0 and out.splitlines()[:2] == ["(0, 0)", "(1, 0)"]
 
 
 class TestUsage:

@@ -4,9 +4,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from sympy import isprime
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from thetalab.fields import PrimeField, QQ
+from thetalab.fields import PrimeField, QQ, is_prime, parse_rational
 from thetalab.polys import Poly
 
 
@@ -16,6 +17,40 @@ def smallest_roots(p):
     for y in range(p):
         table.setdefault(y * y % p, y)
     return table
+
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+
+
+class TestIsPrime:
+    def test_against_sympy_below_the_bound(self):
+        rng = random.Random(12)
+        samples = list(range(200)) + [399165290221, 798330580441, 2**61 - 1, PSI_12 - 2]
+        samples += [rng.randrange(PSI_12) | 1 for _ in range(300)]
+        for n in samples:
+            assert is_prime(n) == isprime(n), n
+
+    @pytest.mark.parametrize("n", [PSI_12, PSI_12 + 2, 2**89 - 1])
+    def test_undecided_above_the_bound(self, n):
+        with pytest.raises(ValueError):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+class TestParseRational:
+    def test_plain_and_exponent_forms(self):
+        assert parse_rational("-3/4") == Fraction(-3, 4)
+        assert parse_rational(" 1.5e2 ") == 150
+        assert parse_rational("25e-1") == Fraction(5, 2)
+
+    @pytest.mark.parametrize("text", ["1e30000000", "1E-30000000", "7.5e+4301", "2e1_000_000"])
+    def test_huge_exponent_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    def test_exponent_at_the_limit_accepted(self):
+        assert parse_rational("1e4300") == 10**4300
 
 
 class TestPrimeFieldSqrt:

@@ -29,3 +29,12 @@ def test_cli_import_leaves_mpmath_unloaded():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_fields_hold_no_arithmetic_methods():
+    """Elements combine with Python operators; a field only normalises, inverts
+    and takes square roots."""
+    from thetalab.fields import PrimeField, RationalField
+
+    for cls in (RationalField, PrimeField):
+        assert {"add", "sub", "mul", "neg", "div"} & set(vars(cls)) == set(), cls
