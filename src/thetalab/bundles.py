@@ -6,24 +6,24 @@ algebra follows the standard multilinear rank/degree rules.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import ThetaLabError
+from .value import Value
 
 
 class UnsupportedGenus(ThetaLabError):
     """The requested invariant chain is only defined at genus 2."""
 
 
-@dataclass(frozen=True)
-class BundleSymbol:
-    rank: int
-    degree: int
-    genus: int = 2
+class BundleSymbol(Value):
+    __slots__ = ("rank", "degree", "genus")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, degree: int, genus: int = 2) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "genus", genus)
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.genus < 2:
@@ -96,13 +96,17 @@ def theta_self_intersection(multiple: int, g: int) -> int:
     return multiple ** g * factorial(g)
 
 
-@dataclass(frozen=True)
-class RaynaudInvariants:
-    mukai_rank: int
-    duplication_degree: int
-    theta_self_int_2theta: int
-    pullback_degree_on_Y: int
-    slope_Ec: Fraction
+class RaynaudInvariants(Value):
+    __slots__ = ("mukai_rank", "duplication_degree", "theta_self_int_2theta",
+                 "pullback_degree_on_Y", "slope_Ec")
+
+    def __init__(self, mukai_rank: int, duplication_degree: int, theta_self_int_2theta: int,
+                 pullback_degree_on_Y: int, slope_Ec: Fraction) -> None:
+        object.__setattr__(self, "mukai_rank", mukai_rank)
+        object.__setattr__(self, "duplication_degree", duplication_degree)
+        object.__setattr__(self, "theta_self_int_2theta", theta_self_int_2theta)
+        object.__setattr__(self, "pullback_degree_on_Y", pullback_degree_on_Y)
+        object.__setattr__(self, "slope_Ec", slope_Ec)
 
 
 def raynaud_invariants(g: int = 2) -> RaynaudInvariants:

@@ -12,13 +12,13 @@ roots themselves are never extracted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import ThetaLabError
 from .fields import QQ
 from .polys import Poly
+from .value import Value
 
 
 class SingularSystem(ThetaLabError):
@@ -33,12 +33,14 @@ def _frame(n):
     return (n + 1) * (n + 2) * (n + 3) ** 2 * (n + 4) * (n + 5)
 
 
-@dataclass(frozen=True)
-class HilbertFit:
-    gamma: Fraction
-    sigma: Fraction
-    pi: Fraction
-    chern_degree: int
+class HilbertFit(Value):
+    __slots__ = ("gamma", "sigma", "pi", "chern_degree")
+
+    def __init__(self, gamma: Fraction, sigma: Fraction, pi: Fraction, chern_degree: int) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "chern_degree", chern_degree)
 
     def evaluate(self, n) -> Fraction:
         m = Fraction((n + 3) ** 2)

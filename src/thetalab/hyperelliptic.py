@@ -13,7 +13,6 @@ intersections, torsion) is derived from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -21,6 +20,7 @@ from math import isqrt, lcm
 from .errors import ThetaLabError
 from .fields import PrimeField, QQ, RationalField, field_from_spec, parse_rational
 from .polys import Poly, gcd as poly_gcd, parse_poly, xgcd
+from .value import Value
 
 ENUMERATION_FIELD_BOUND = 37
 
@@ -57,15 +57,15 @@ class InvariantViolated(ThetaLabError):
     """A result failed the check that must hold by construction."""
 
 
-@dataclass(frozen=True)
-class HyperellipticCurve:
-    f: Poly
+class HyperellipticCurve(Value):
+    __slots__ = ("f",)
 
     @property
     def field(self) -> RationalField | PrimeField:
         return self.f.field
 
-    def __post_init__(self) -> None:
+    def __init__(self, f: Poly) -> None:
+        object.__setattr__(self, "f", f)
         if self.field.characteristic == 2:
             raise EvenCharacteristic("the base field has characteristic 2")
         if self.f.degree != 5 or self.f.lc() != self.field.one:
@@ -73,6 +73,14 @@ class HyperellipticCurve:
         fprime = self.f.derivative()
         if fprime.is_zero or poly_gcd(self.f, fprime).degree != 0:
             raise NotSquarefree("f has a repeated root")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.f == other.f
+
+    def __hash__(self) -> int:
+        return hash((self.f,))
 
     def point(self, x, y) -> CurvePoint:
         return CurvePoint(self, self.field(x), self.field(y))
@@ -85,17 +93,26 @@ class HyperellipticCurve:
         return f"field={self.field}; f={coeffs}"
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    curve: HyperellipticCurve
-    x: object = None
-    y: object = None
-    at_infinity: bool = False
+class CurvePoint(Value):
+    __slots__ = ("curve", "x", "y", "at_infinity")
 
-    def __post_init__(self) -> None:
+    def __init__(self, curve: HyperellipticCurve, x=None, y=None, at_infinity: bool = False) -> None:
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "at_infinity", at_infinity)
         if not self.at_infinity:
             if self.curve.field(self.y * self.y) != self.curve.f(self.x):
                 raise ValueError(f"({self.x}, {self.y}) is not on the curve")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.curve, self.x, self.y, self.at_infinity)
+                == (other.curve, other.x, other.y, other.at_infinity))
+
+    def __hash__(self) -> int:
+        return hash((self.curve, self.x, self.y, self.at_infinity))
 
     def __str__(self) -> str:
         if self.at_infinity:
@@ -205,13 +222,13 @@ def weierstrass_points(curve: HyperellipticCurve) -> list[CurvePoint]:
     return points + [curve.infinity()]
 
 
-@dataclass(frozen=True, slots=True)
-class MumfordDivisor:
-    curve: HyperellipticCurve
-    u: Poly
-    v: Poly
+class MumfordDivisor(Value):
+    __slots__ = ("curve", "u", "v")
 
-    def __post_init__(self) -> None:
+    def __init__(self, curve: HyperellipticCurve, u: Poly, v: Poly) -> None:
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
         F = self.curve.field
         if self.u.is_zero or self.u.lc() != F.one:
             raise ValueError("u must be monic")
@@ -221,6 +238,14 @@ class MumfordDivisor:
             raise ValueError("deg v must be smaller than deg u")
         if not self.u.divides(self.v * self.v - self.curve.f):
             raise ValueError("u does not divide v^2 - f")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.curve, self.u, self.v) == (other.curve, other.u, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.curve, self.u, self.v))
 
     @classmethod
     def zero(cls, curve: HyperellipticCurve) -> MumfordDivisor:
@@ -296,10 +321,20 @@ def scalar_mul(curve: HyperellipticCurve, a: MumfordDivisor, n: int) -> MumfordD
     return acc
 
 
-@dataclass(frozen=True)
-class PicClass:
-    base: MumfordDivisor
-    degree: int
+class PicClass(Value):
+    __slots__ = ("base", "degree")
+
+    def __init__(self, base: MumfordDivisor, degree: int) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "degree", degree)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.degree) == (other.base, other.degree)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.degree))
 
     @property
     def curve(self) -> HyperellipticCurve:

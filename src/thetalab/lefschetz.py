@@ -22,38 +22,36 @@ product of the two traces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import BundleSymbol, chi
 from .errors import ThetaLabError
+from .value import Value
 
 
 class Infeasible(ThetaLabError):
     """No nonnegative integer eigenspace split exists."""
 
 
-@dataclass(frozen=True)
-class FixedPointDatum:
-    trace: Fraction
-    jacobian_det: Fraction = Fraction(2)
+class FixedPointDatum(Value):
+    __slots__ = ("trace", "jacobian_det")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trace", Fraction(self.trace))
-        object.__setattr__(self, "jacobian_det", Fraction(self.jacobian_det))
+    def __init__(self, trace: Fraction, jacobian_det: Fraction = Fraction(2)) -> None:
+        object.__setattr__(self, "trace", Fraction(trace))
+        object.__setattr__(self, "jacobian_det", Fraction(jacobian_det))
         if self.jacobian_det == 0:
             raise ValueError("jacobian determinant must be nonzero")
 
 
-@dataclass(frozen=True)
-class LefschetzScenario:
-    fixed_points: tuple[FixedPointDatum, ...]
-    h0_total: int
-    h1_total: int
-    h0_plus: int
+class LefschetzScenario(Value):
+    __slots__ = ("fixed_points", "h0_total", "h1_total", "h0_plus")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fixed_points", tuple(self.fixed_points))
+    def __init__(self, fixed_points: tuple[FixedPointDatum, ...], h0_total: int,
+                 h1_total: int, h0_plus: int) -> None:
+        object.__setattr__(self, "fixed_points", tuple(fixed_points))
+        object.__setattr__(self, "h0_total", h0_total)
+        object.__setattr__(self, "h1_total", h1_total)
+        object.__setattr__(self, "h0_plus", h0_plus)
         if min(self.h0_total, self.h1_total, self.h0_plus, 0) < 0:
             raise ValueError("cohomology dimensions must be nonnegative")
         if self.h0_plus > self.h0_total:

@@ -9,23 +9,24 @@ first row that needs them; nothing is cached across calls.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
 from functools import cache
 
 from . import bundles, hilbert, lefschetz, verlinde
 from . import hyperelliptic as hy
 from .errors import ThetaLabError
+from .value import Value
 
 REFERENCE_CURVE_SPEC = "field=Fp:13; f=0,-1,0,0,0"
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    computed: str
-    expected: str
-    source: str
+class ReportRow(Value):
+    __slots__ = ("label", "computed", "expected", "source")
+
+    def __init__(self, label: str, computed: str, expected: str, source: str) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "source", source)
 
     @property
     def status(self) -> str:
@@ -136,19 +137,11 @@ def render_text(rows: list[ReportRow]) -> str:
 
 
 def rows_to_json(rows: list[ReportRow]) -> str:
-    payload = [dict(asdict(r), status=r.status) for r in rows]
+    import json  # only --format json needs it
+
+    payload = [{"label": r.label, "computed": r.computed, "expected": r.expected,
+                "source": r.source, "status": r.status} for r in rows]
     return json.dumps({"rows": payload}, indent=2) + "\n"
-
-
-def rows_from_json(text: str) -> list[ReportRow]:
-    payload = json.loads(text)
-    rows = []
-    for item in payload["rows"]:
-        row = ReportRow(item["label"], item["computed"], item["expected"], item["source"])
-        if row.status != item["status"]:
-            raise ValueError(f"inconsistent status for {row.label!r}")
-        rows.append(row)
-    return rows
 
 
 def all_match(rows: list[ReportRow]) -> bool:

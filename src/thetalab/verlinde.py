@@ -8,22 +8,21 @@ rounding issue.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ThetaLabError
 from .exact import Cyclo, cyclo_sin
+from .value import Value
 
 
 class NotInteger(ThetaLabError):
     """A sum that must be an integer is not."""
 
 
-@dataclass(frozen=True)
-class VerlindePair:
-    s: int
-    t: int
+class VerlindePair(Value):
+    __slots__ = ("s", "t")
 
-    def __post_init__(self) -> None:
+    def __init__(self, s: int, t: int) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
         if self.s < 1 or self.t < 1 or self.s + self.t > 4:
             raise ValueError(f"inadmissible pair ({self.s}, {self.t})")
 
@@ -76,13 +75,14 @@ def hilbert_values() -> tuple[int, int, int]:
 
 
 def theta_eigendims(n: int, g: int) -> tuple[int, int]:
-    """Dimensions (2n^g + 2^(g-1), 2n^g - 2^(g-1)) of the two eigenspaces
-    of the canonical involution acting on the sections of 2n times a
-    principal polarization on a g-dimensional Jacobian."""
+    """Dimensions (((2n)^g + 2^g)/2, ((2n)^g - 2^g)/2) of the two
+    eigenspaces of the canonical involution acting on the sections of 2n
+    times a principal polarization on a g-dimensional Jacobian
+    (Birkenhake-Lange, Complex Abelian Varieties, section 4.6)."""
     if n < 1:
         raise ValueError("n must be positive")
     if g < 2:
         raise ValueError("g must be at least 2")
-    bulk = 2 * n ** g
     half = 2 ** (g - 1)
+    bulk = half * n ** g
     return (bulk + half, bulk - half)

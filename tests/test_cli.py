@@ -47,7 +47,9 @@ class TestReport:
         assert rc == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 21
-        assert report.rows_from_json(out) == report.build_report()
+        fields = ("label", "computed", "expected", "source", "status")
+        assert [tuple(item[k] for k in fields) for item in payload["rows"]] == [
+            tuple(getattr(row, k) for k in fields) for row in report.build_report()]
 
     def test_json_statuses(self, capsys):
         _, out, _ = run_cli(capsys, "report", "--format", "json")

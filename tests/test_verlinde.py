@@ -92,6 +92,16 @@ class TestThetaEigendims:
                 plus, minus = theta_eigendims(n, g)
                 assert plus - minus == 2 ** g
 
+    def test_total_dimension_every_genus(self):
+        for n in range(1, 5):
+            for g in range(2, 6):
+                plus, minus = theta_eigendims(n, g)
+                assert plus + minus == (2 * n) ** g
+                assert minus >= 0
+
+    def test_level_one_genus_three(self):
+        assert theta_eigendims(1, 3) == (8, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             theta_eigendims(0, 2)
