@@ -156,6 +156,9 @@ class Cyclo:
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo is immutable")
 
+    def __reduce__(self):
+        return (Cyclo, (self.modulus, self.coeffs))
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The phi(N) power-basis coordinates as rationals."""

@@ -10,6 +10,15 @@ unique per class, so equality, hashing, and printing are canonical.
 Cantor composition and reduction implement the group law; everything
 else (Riemann-Roch dimensions, the Serre involution, translate
 intersections, torsion) is derived from it.
+
+Over F_p with p <= ENUMERATION_FIELD_BOUND, every reduced pair is listed
+(Cantor, Math. Comp. 48, 1987; Cassels-Flynn, LMS LN 230, ch. 3) by
+solving v^2 = f (mod u) for v on each monic u of degree <= 2, in O(p^3)
+int work.  The list is cached per curve; its u and v come from one table
+per field of every monic quadratic and every polynomial of degree <= 1,
+shared by all curves over that field, so a cached pair is just its
+MumfordDivisor (64 bytes with its tuple slot).  The tables for all odd
+p <= 37 take about 1.1 MB.
 """
 from __future__ import annotations
 
@@ -520,29 +529,59 @@ def _enumeration_field(curve: HyperellipticCurve) -> PrimeField:
 
 
 @cache
+def _small_polys(p: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+    """(linear, quadratic) over F_p: linear[c0 + p*c1] is c1*x + c0 and
+    quadratic[u0 + p*u1] is x^2 + u1*x + u0.  Every curve over F_p takes
+    the u and v of its reduced pairs from here, so a cached pair owns no
+    polynomial.  Only _all_reduced calls this, after _enumeration_field,
+    so the cache holds at most one table per odd p <= ENUMERATION_FIELD_BOUND."""
+    F = PrimeField(p)
+    linear = tuple(Poly(F, (c0, c1)) for c1 in range(p) for c0 in range(p))
+    quadratic = tuple(Poly(F, (u0, u1, 1)) for u1 in range(p) for u0 in range(p))
+    return linear, quadratic
+
+
+@cache
 def _all_reduced(curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...]:
-    """Every reduced Mumford pair over a small prime field, cached per curve."""
-    F = _enumeration_field(curve)
-    p = F.p
-    f = curve.f
-    found = [MumfordDivisor.zero(curve)]
-    for point in curve_points(curve)[:-1]:
-        found.append(MumfordDivisor.from_point(point))
-    x = Poly.x(F)
+    """Every reduced Mumford pair over a small prime field, cached per curve.
+
+    v is solved for, not searched.  u = 1 has v = 0, u = x - x0 has v = y
+    for each square root y of f(x0), and a monic quadratic u with
+    f = r1*x + r0 (mod u) has v = v1*x + v0 with v^2 = f (mod u): a
+    square root v0 of r0 when v1 = 0 (only if r1 = 0), otherwise
+    v0 = (r1 + v1^2 u1) / (2 v1), kept if v0^2 - v1^2 u0 = r0.  That is
+    O(p^3) int work; MumfordDivisor still checks every pair.
+    """
+    p = _enumeration_field(curve).p
+    linear, quadratic = _small_polys(p)
+    fc = curve.f.coeffs[::-1]
+    roots: list[list[int]] = [[] for _ in range(p)]
+    for y in range(p):
+        roots[y * y % p].append(y)
+    found = [MumfordDivisor(curve, linear[1], linear[0])]
+    for x0 in range(p):
+        z = 0
+        for c in fc:
+            z = (z * x0 + c) % p
+        for y in roots[z]:
+            found.append(MumfordDivisor(curve, linear[-x0 % p + p], linear[y]))
+    # (v1^2, 1 / (2 v1), v1) for v1 != 0
+    slopes = [(v1 * v1 % p, pow(2 * v1, -1, p), v1) for v1 in range(1, p)]
     for u1 in range(p):
         for u0 in range(p):
-            u = x * x + Poly(F, (u0, u1))
-            rem = f % u
-            r1, r0 = rem[1], rem[0]
-            for v1 in range(p):
-                a = (2 * v1) % p
-                c1 = (v1 * v1 * u1) % p
-                c0 = (v1 * v1 * u0) % p
-                for v0 in range(p):
-                    # v^2 mod u has linear coefficient 2 v0 v1 - v1^2 u1
-                    # and constant v0^2 - v1^2 u0
-                    if (a * v0 - c1 - r1) % p == 0 and (v0 * v0 - c0 - r0) % p == 0:
-                        found.append(MumfordDivisor(curve, u, Poly(F, (v0, v1))))
+            # f mod u = r1*x + r0, by Horner with x^2 = -u1*x - u0
+            r1 = r0 = 0
+            for c in fc:
+                r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
+            u = quadratic[u0 + p * u1]
+            # v^2 mod u = (2 v0 v1 - v1^2 u1)*x + (v0^2 - v1^2 u0)
+            if r1 == 0:
+                for v0 in roots[r0]:
+                    found.append(MumfordDivisor(curve, u, linear[v0]))
+            for sq, half_inv, v1 in slopes:
+                v0 = (r1 + sq * u1) * half_inv % p
+                if (v0 * v0 - sq * u0 - r0) % p == 0:
+                    found.append(MumfordDivisor(curve, u, linear[v0 + p * v1]))
     return tuple(sorted(found, key=MumfordDivisor._key))
 
 

@@ -4,7 +4,8 @@ Everything here recomputes target values through a route disjoint from
 the library implementation: floating sines via mpmath, cyclotomic
 arithmetic as dense polynomials over Q (the route the integer kernel in
 thetalab.exact replaced), Jacobian orders via point counts over F_p and
-F_{p^2} fed into the zeta functional equation, divisor-class addition via
+F_{p^2} fed into the zeta functional equation, every reduced pair over F_p
+by a p^4 scan of candidate (u, v), divisor-class addition via
 CRT interpolation plus a single explicit reduction, and principality of
 split degree-4 divisors via the fibre-pairing criterion.
 """
@@ -16,7 +17,7 @@ from math import lcm
 
 import mpmath
 
-from thetalab.fields import QQ
+from thetalab.fields import QQ, PrimeField
 from thetalab.polys import Poly, xgcd
 
 
@@ -157,6 +158,47 @@ def jacobian_order(p: int, f_coeffs) -> int:
     e1 = p1
     e2 = (p1 * p1 - p2) // 2
     return 1 - e1 + e2 - p * e1 + p * p
+
+
+def _trim(*coeffs) -> tuple:
+    """Low-to-high coefficients without trailing zeros, as Poly stores them."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def ref_all_reduced(p: int, f_coeffs) -> tuple:
+    """Every reduced Mumford pair of y^2 = f(x) over F_p as (u, v) int
+    coefficient tuples, low to high, in enumerate's order.
+
+    A p^4 scan: every (v0, v1) is tried against every monic quadratic u,
+    with f mod u from Poly's long division; degree-1 pairs come from
+    trying every y at every x.
+    """
+    F = PrimeField(p)
+    f = Poly(F, f_coeffs)
+    found = [((1,), ())]
+    for x0 in range(p):
+        z = _eval_poly_mod(f_coeffs, x0, p)
+        for y in range(p):
+            if (y * y - z) % p == 0:
+                found.append((((-x0) % p, 1), _trim(y)))
+    x = Poly.x(F)
+    for u1 in range(p):
+        for u0 in range(p):
+            rem = f % (x * x + Poly(F, (u0, u1)))
+            r1, r0 = rem[1], rem[0]
+            for v1 in range(p):
+                a = (2 * v1) % p
+                c1 = (v1 * v1 * u1) % p
+                c0 = (v1 * v1 * u0) % p
+                for v0 in range(p):
+                    # v^2 mod u has linear coefficient 2 v0 v1 - v1^2 u1
+                    # and constant v0^2 - v1^2 u0
+                    if (a * v0 - c1 - r1) % p == 0 and (v0 * v0 - c0 - r0) % p == 0:
+                        found.append(((u0, u1, 1), _trim(v0, v1)))
+    return tuple(sorted(found, key=lambda uv: (len(uv[0]), uv)))
 
 
 def chord_add(curve, a, b):

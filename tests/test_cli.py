@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from thetalab import bundles, cli, report, verlinde
 
 CURVE13 = "field=Fp:13; f=0,-1,0,0,0"
 CURVE7 = "field=Fp:7; f=1,0,0,0,0"
+CURVE37 = "field=Fp:37; f=3,1,4,1,5"
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +206,17 @@ class TestJac:
         assert len(lines) == 144
         assert lines[0] == "u=1; v=0; d=0"
         assert len(set(lines)) == 144
+
+    @pytest.mark.parametrize("curve, degree, digest", [
+        (CURVE13, "0", "6a57b9b1871c7155deff8c1882da715a82654718f081c698cd36774e7e616914"),
+        (CURVE13, "1", "4a6480d54697c4371e5ff0cfd224bc46b4809375300551b59ae84bbb1bef8d69"),
+        (CURVE37, "0", "c3d86c0a3898dae9b35e80aefc21246c84b1188bec927964ef3098af99905e4f"),
+        (CURVE37, "1", "d491d850904b57dc400c55bbb76c3f72180993d10badc05f584c7f3e89dd0760"),
+    ])
+    def test_enumerate_golden_bytes(self, capsys, curve, degree, digest):
+        rc, out, err = run_cli(capsys, "jac", "--curve", curve, "enumerate", "--degree", degree)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_enumerate_degree_flag(self, capsys):
         rc, out, _ = run_cli(

@@ -1,4 +1,5 @@
 """Contract of the immutable value types: equality, hashing, immutability, repr."""
+import copy
 import pickle
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 
 from thetalab import bundles, hilbert, lefschetz, report, verlinde
 from thetalab import hyperelliptic as hy
+from thetalab.exact import Cyclo, cyclo_sin
+from thetalab.polys import Poly
 from thetalab.value import Value
 
 CURVE7 = "field=Fp:7; f=1,0,0,0,0"
@@ -99,6 +102,25 @@ def test_pickle_round_trip():
     for value in (bundles.BundleSymbol(3, 5), report.build_report()[4],
                   lefschetz.hom_ow_scenario()):
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]),
+    lambda: cyclo_sin(1, 5) + Cyclo(3, [Fraction(1, 2), 4]),
+    lambda: hy.parse_curve(CURVE7),
+    lambda: hy.new_curve("Q", [0, 24, -50, 35, -10]),
+    lambda: hy.MumfordDivisor.from_point(_point()),
+    lambda: hy.point_class(_point()) * 3,
+], ids=["poly", "cyclo", "curve", "curve_q", "divisor", "class"])
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_round_trip(make, clone):
+    value = make()
+    twin = clone(value)
+    assert type(twin) is type(value)
+    assert twin == value
+    assert repr(twin) == repr(value)
 
 
 def test_equal_curves_share_the_reduced_cache():
