@@ -12,7 +12,9 @@ rational exactly when every coordinate past the constant vanishes.
 zeta and promote are index maps (zeta^k -> x^k, x^j -> x^(j*M/N)) followed
 by one reduction, and a product is an integer convolution followed by
 one reduction.  Only inverse leaves the integers, for one extended Euclid
-over Q (polys.xgcd).
+over Q (polys.xgcd).  A cosecant needs no inverse: for a root of unity
+w != 1 with w^N = 1, 1/(w - 1) = (1/N) sum_{j<N} j w^j, so cyclo_csc is an
+index map and one reduction like cyclo_sin.
 
 A high-precision floating evaluation (mpmath, 160-bit mantissa, imported
 on first use) serves as the independent cross-check oracle; it never
@@ -304,6 +306,14 @@ class Cyclo:
         return f"Cyclo({self.modulus}, {[str(c) for c in self.coeffs]})"
 
 
+def _sine_frame(m: int) -> tuple[int, int, int]:
+    """(N, a, q) with N = lcm(2m, 4), e^(i*pi/m) = zeta_N^a and 1/i = zeta_N^q."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    n = lcm(2 * m, 4)
+    return n, n // (2 * m), 3 * n // 4
+
+
 def cyclo_sin(k: int, m: int) -> Cyclo:
     """Exact sin(k*pi/m) in Q(zeta_N) with N = lcm(2m, 4).
 
@@ -311,9 +321,20 @@ def cyclo_sin(k: int, m: int) -> Cyclo:
     and 1/i = zeta_N^(3N/4), so sin(k*pi/m) = (zeta_N^(3N/4 + ak) -
     zeta_N^(3N/4 - ak)) / 2: one index map and one reduction.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    n = lcm(2 * m, 4)
-    a = n // (2 * m)
-    q = 3 * n // 4
+    n, a, q = _sine_frame(m)
     return Cyclo._from_terms(n, ((q + a * k, 1), (q - a * k, -1)), 2)
+
+
+def cyclo_csc(k: int, m: int) -> Cyclo:
+    """Exact 1/sin(k*pi/m) in Q(zeta_N) with N = lcm(2m, 4), no inverse taken.
+
+    With a and q as in cyclo_sin, sin(k*pi/m) = zeta_N^(q - ak) (w - 1) / 2
+    for w = zeta_N^(2ak), and 1/(w - 1) = (1/N) sum_{j<N} j w^j for every
+    w != 1 with w^N = 1 (cyclotomic units; Washington, Introduction to
+    Cyclotomic Fields, ch. 8).  So 1/sin(k*pi/m) is (2/N) sum_{j<N} j
+    zeta_N^(ak - q + 2akj): one index map and one reduction.
+    """
+    n, a, q = _sine_frame(m)
+    if k % m == 0:
+        raise ZeroDivisionError(f"sin({k}*pi/{m}) is zero")
+    return Cyclo._from_terms(n, ((a * k - q + 2 * a * k * j, 2 * j) for j in range(1, n)), n)

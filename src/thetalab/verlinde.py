@@ -1,15 +1,18 @@
 """Level-2 Verlinde numbers for the rank-2 symplectic group, exactly.
 
 The six admissible weight pairs (s, t) with s, t >= 1 and s + t <= 4 feed
-a product of four exact sines; the inverse squares are summed in the
-cyclotomic field and only then collapsed to a rational.  A failed
-collapse (NotRational / NotInteger) is a loud arithmetic bug, never a
+a product of four exact sines.  Its inverse is the product of the four
+exact cosecants, so the inverse squares are summed in the cyclotomic
+field with no inverse taken, and only then collapsed to a rational.  A
+failed collapse (NotRational / NotInteger) is a loud arithmetic bug, never a
 rounding issue.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import ThetaLabError
-from .exact import Cyclo, cyclo_sin
+from .exact import Cyclo, cyclo_csc, cyclo_sin
 from .value import Value
 
 
@@ -39,6 +42,15 @@ def admissible_pairs() -> tuple[VerlindePair, ...]:
     )
 
 
+def _sine_product(pair: VerlindePair, factor) -> Cyclo:
+    """The product of factor(k, m) over the four sines sin(k*pi/m) of S(s, t)."""
+    s, t = pair.s, pair.t
+    product = Cyclo.from_rational(1)
+    for k, m in ((s + t, 5), (t, 5), (s, 10), (s + 2 * t, 10)):
+        product = product * factor(k, m)
+    return product
+
+
 def s_factor(pair: VerlindePair) -> Cyclo:
     """The sine product S(s, t), exactly.
 
@@ -47,23 +59,17 @@ def s_factor(pair: VerlindePair) -> Cyclo:
     alcove at level 2.  All four arguments lie strictly inside (0, pi) on
     admissible pairs, so S(s, t) is never zero.
     """
-    s, t = pair.s, pair.t
-    return (
-        16
-        * cyclo_sin(s + t, 5)
-        * cyclo_sin(t, 5)
-        * cyclo_sin(s, 10)
-        * cyclo_sin(s + 2 * t, 10)
-    )
+    return 16 * _sine_product(pair, cyclo_sin)
 
 
 def verlinde_p2() -> int:
-    """The dimension 2^2 * 5^2 * sum of S(s, t)^-2 over admissible pairs."""
+    """The dimension 2^2 * 5^2 * sum of S(s, t)^-2 over admissible pairs,
+    with S(s, t)^-1 = 2^-4 * the product of the four cosecants."""
     total = Cyclo.from_rational(0)
     for pair in admissible_pairs():
-        term = s_factor(pair)
-        total = total + (term * term).inverse()
-    value = (total * 100).to_rational()
+        term = _sine_product(pair, cyclo_csc)
+        total = total + term * term
+    value = total.to_rational() * Fraction(100, 256)
     if value.denominator != 1:
         raise NotInteger(f"p(2) evaluated to {value}")
     return int(value)

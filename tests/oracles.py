@@ -5,7 +5,8 @@ the library implementation: floating sines via mpmath, cyclotomic
 arithmetic as dense polynomials over Q (the route the integer kernel in
 thetalab.exact replaced), Jacobian orders via point counts over F_p and
 F_{p^2} fed into the zeta functional equation, every reduced pair over F_p
-by a p^4 scan of candidate (u, v), divisor-class addition via
+by a p^4 scan of candidate (u, v), the two-torsion as the 16 sums of
+Cantor additions of Weierstrass points, divisor-class addition via
 CRT interpolation plus a single explicit reduction, and principality of
 split degree-4 divisors via the fibre-pairing criterion.
 """
@@ -17,6 +18,7 @@ from math import lcm
 
 import mpmath
 
+from thetalab import hyperelliptic as hy
 from thetalab.fields import QQ, PrimeField
 from thetalab.polys import Poly, xgcd
 
@@ -199,6 +201,24 @@ def ref_all_reduced(p: int, f_coeffs) -> tuple:
                     if (a * v0 - c1 - r1) % p == 0 and (v0 * v0 - c0 - r0) % p == 0:
                         found.append(((u0, u1, 1), _trim(v0, v1)))
     return tuple(sorted(found, key=lambda uv: (len(uv[0]), uv)))
+
+
+def ref_two_torsion(curve):
+    """All 16 classes killed by doubling, generated by differences of
+    Weierstrass points: 32 Cantor additions and a set dedupe."""
+    ws = hy.weierstrass_points(curve)
+    generators = [hy.MumfordDivisor.from_point(w) for w in ws[:4]]
+    classes = []
+    for mask in range(16):
+        acc = hy.MumfordDivisor.zero(curve)
+        for bit, gen in enumerate(generators):
+            if mask >> bit & 1:
+                acc = hy.cantor_add(curve, acc, gen)
+        classes.append(hy.PicClass(acc, 0))
+    unique = sorted(set(classes), key=hy.PicClass._key)
+    if len(unique) != 16:
+        raise hy.InvariantViolated("Weierstrass differences generated fewer than 16 classes")
+    return unique
 
 
 def chord_add(curve, a, b):

@@ -7,6 +7,8 @@ import time
 import pytest
 
 from thetalab import bundles, cli, report, verlinde
+from thetalab import hyperelliptic as hy
+from thetalab.exact import Cyclo
 
 CURVE13 = "field=Fp:13; f=0,-1,0,0,0"
 CURVE7 = "field=Fp:7; f=1,0,0,0,0"
@@ -81,6 +83,24 @@ class TestReport:
         assert len(calls) == 1
         report.build_report()
         assert len(calls) == 2
+
+    def test_no_cantor_addition_or_cyclotomic_inverse(self, monkeypatch):
+        calls = []
+        cantor_add, inverse = hy.cantor_add, Cyclo.inverse
+
+        def counted_add(curve, a, b):
+            calls.append("cantor_add")
+            return cantor_add(curve, a, b)
+
+        def counted_inverse(self):
+            calls.append("inverse")
+            return inverse(self)
+        monkeypatch.setattr(hy, "cantor_add", counted_add)
+        monkeypatch.setattr(Cyclo, "inverse", counted_inverse)
+        rows = report.build_report()
+        assert len(rows) == 21
+        assert all(r.status == "match" for r in rows)
+        assert calls == []
 
 
 class TestVerlinde:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from thetalab.exact import (
     Cyclo,
     NotRational,
+    cyclo_csc,
     cyclo_sin,
     cyclotomic_polynomial,
     euler_phi,
@@ -93,6 +94,40 @@ class TestCycloSin:
             k = rng.randint(0, 2 * m)
             exact = float(cyclo_sin(k, m))
             assert abs(exact - float(mp_sin(k, m))) < 1e-12
+
+
+class TestCycloCsc:
+    """1/sin(k*pi/m) from the cyclotomic-unit sum, with no inverse taken."""
+
+    @pytest.mark.parametrize("m", range(2, 41))
+    def test_matches_inverse_oracle(self, m):
+        n = lcm(2 * m, 4)
+        inverses = {}  # sin(k*pi/m) = sin((m - k)*pi/m): invert each value once
+        for k in range(1, 2 * m):
+            if k % m:
+                sine = ref_sin(k, m)
+                if sine not in inverses:
+                    inverses[sine] = ref_inverse(n, sine)
+                csc = cyclo_csc(k, m)
+                assert csc.modulus == n
+                assert csc.coeffs == inverses[sine]
+
+    def test_inverts_sine_for_any_k(self):
+        for m in range(1, 41):
+            for k in range(-2 * m, 4 * m + 1):
+                if k % m:
+                    assert cyclo_csc(k, m) * cyclo_sin(k, m) == 1
+
+    @pytest.mark.parametrize("k, m", [(0, 1), (1, 1), (-3, 1), (0, 5), (5, 5), (10, 5),
+                                      (-20, 10), (40, 10)])
+    def test_zero_sine_raises(self, k, m):
+        with pytest.raises(ZeroDivisionError):
+            cyclo_csc(k, m)
+
+    @pytest.mark.parametrize("m", [0, -1, -10])
+    def test_nonpositive_m_rejected(self, m):
+        with pytest.raises(ValueError):
+            cyclo_csc(1, m)
 
 
 MODULI = sorted({lcm(2 * m, 4) for m in range(1, 41)})

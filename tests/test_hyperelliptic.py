@@ -450,6 +450,45 @@ class TestTwoTorsion:
             hy.two_torsion(curve5)
 
 
+def _split_curve(field, roots):
+    """y^2 = prod of (x - r) over the five roots."""
+    f = Poly.constant(field, 1)
+    for r in roots:
+        f = f * Poly(field, (-r, 1))
+    return hy.HyperellipticCurve(f)
+
+
+class TestTwoTorsionClosedForm:
+    """The closed form against the 32-addition oracle."""
+
+    @staticmethod
+    def check(curve):
+        torsion = hy.two_torsion(curve)
+        assert torsion == oracles.ref_two_torsion(curve)
+        zero = hy.MumfordDivisor.zero(curve)
+        for t in torsion:
+            assert hy.cantor_add(curve, t.base, t.base) == zero
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10007, 1000003])
+    def test_matches_cantor_oracle(self, p):
+        self.check(_split_curve(PrimeField(p), random.Random(p).sample(range(p), 5)))
+
+    @pytest.mark.parametrize("roots", [
+        (0, 1, 2, 3, 4),
+        (Fraction(-7, 2), Fraction(-1, 3), 0, Fraction(5, 4), 9),
+    ])
+    def test_matches_cantor_oracle_over_q(self, roots):
+        self.check(_split_curve(QQ, roots))
+
+    def test_nothing_splits_over_f3(self):
+        # F3 has three elements, so no squarefree quintic splits there
+        curve = hy.parse_curve("field=Fp:3; f=1,2,0,0,0")
+        with pytest.raises(hy.DoesNotSplit):
+            hy.two_torsion(curve)
+        with pytest.raises(hy.DoesNotSplit):
+            oracles.ref_two_torsion(curve)
+
+
 class TestPencilMember:
     def test_generic_member(self, curve13):
         w = curve13.point(0, 0)
@@ -497,7 +536,9 @@ class TestInvariantViolated:
         assert info.value.code == "INVARIANT_VIOLATED"
 
     def test_two_torsion_collapses(self, curve13, monkeypatch):
-        monkeypatch.setattr(hy, "cantor_add", lambda curve, a, b: hy.MumfordDivisor.zero(curve))
+        ws = hy.weierstrass_points(curve13)
+        repeated = ws[:1] + ws[:1] + ws[2:]
+        monkeypatch.setattr(hy, "weierstrass_points", lambda curve: repeated)
         with pytest.raises(hy.InvariantViolated):
             hy.two_torsion(curve13)
 

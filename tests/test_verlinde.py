@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from thetalab.exact import cyclo_csc
 from thetalab.verlinde import (
     VerlindePair,
     admissible_pairs,
@@ -38,6 +39,13 @@ class TestSFactor:
         for pair, expected in zip(admissible_pairs(), S_SQUARED):
             factor = s_factor(pair)
             assert (factor * factor).to_rational() == expected
+
+    def test_cosecant_product_inverts_it(self):
+        for pair in admissible_pairs():
+            s, t = pair.s, pair.t
+            csc = (cyclo_csc(s + t, 5) * cyclo_csc(t, 5)
+                   * cyclo_csc(s, 10) * cyclo_csc(s + 2 * t, 10))
+            assert s_factor(pair) * csc == 16
 
     def test_never_zero(self):
         for pair in admissible_pairs():
