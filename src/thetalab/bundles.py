@@ -47,21 +47,9 @@ class BundleSymbol(Value):
     def dual(self) -> BundleSymbol:
         return BundleSymbol(self.rank, -self.degree, self.genus)
 
-    def det(self) -> BundleSymbol:
-        return BundleSymbol(1, self.degree, self.genus)
-
-    def twist(self, line_degree: int) -> BundleSymbol:
-        return BundleSymbol(self.rank, self.degree + self.rank * line_degree, self.genus)
-
     def sym2(self) -> BundleSymbol:
         r, d = self.rank, self.degree
         return BundleSymbol(r * (r + 1) // 2, d * (r + 1), self.genus)
-
-    def wedge2(self) -> BundleSymbol:
-        r, d = self.rank, self.degree
-        if r < 2:
-            raise ValueError("wedge2 needs rank at least 2")
-        return BundleSymbol(r * (r - 1) // 2, d * (r - 1), self.genus)
 
 
 def chi(b: BundleSymbol) -> int:
@@ -71,14 +59,6 @@ def chi(b: BundleSymbol) -> int:
 
 def slope(b: BundleSymbol) -> Fraction:
     return Fraction(b.degree, b.rank)
-
-
-def stability_allows(sub: BundleSymbol, ambient: BundleSymbol) -> bool:
-    """Whether a subbundle of these invariants is compatible with
-    stability of the ambient bundle (strict slope inequality)."""
-    if sub.rank >= ambient.rank:
-        raise ValueError("subbundle rank must be smaller")
-    return slope(sub) < slope(ambient)
 
 
 def moduli_dim(n: int, g: int) -> int:

@@ -42,24 +42,6 @@ class NotRational(ThetaLabError):
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    """phi(n) = n * prod over the primes p dividing n of (1 - 1/p)."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    phi = rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            phi -= phi // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        phi -= phi // rest
-    return phi
-
-
-@lru_cache(maxsize=None)
 def _phi_ints(n: int) -> tuple[int, ...]:
     """Phi_n low to high as monic ints: x^n - 1 divided exactly by Phi_d
     for every proper divisor d of n.  Every Cyclo construction path comes
@@ -172,11 +154,6 @@ class Cyclo:
         return cls._make(1, [value.numerator], value.denominator)
 
     @classmethod
-    def from_poly(cls, modulus: int, poly: Poly) -> Cyclo:
-        num, den = _ints(poly.coeffs)
-        return cls._make(modulus, _reduce(modulus, num), den)
-
-    @classmethod
     def zeta(cls, modulus: int, power: int = 1) -> Cyclo:
         """zeta_N^power as a canonical element."""
         return cls._from_terms(modulus, ((power, 1),))
@@ -261,8 +238,9 @@ class Cyclo:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     @property

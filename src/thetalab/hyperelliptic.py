@@ -8,9 +8,10 @@ stored as a reduced Mumford pair plus a degree shift: the class is
 unique per class, so equality, hashing, and printing are canonical.
 
 Cantor composition and reduction implement the group law; Riemann-Roch
-dimensions, the Serre involution and translate intersections are derived
-from it.  The two-torsion is written down in closed form instead: its 16
-classes have v = 0 and u a product of at most two factors x - e of f.
+dimensions and translate intersections are derived from it, and Serre
+duality is K - L by the group law.  The two-torsion is written down in
+closed form instead: its 16 classes have v = 0 and u a product of at
+most two factors x - e of f.
 
 Over F_p with p <= ENUMERATION_FIELD_BOUND, every reduced pair is listed
 (Cantor, Math. Comp. 48, 1987; Cassels-Flynn, LMS LN 230, ch. 3) by
@@ -54,10 +55,6 @@ class WrongDegree(ThetaLabError):
 
 class OrderTwo(ThetaLabError):
     """The translating class has order dividing 2, a degenerate case."""
-
-
-class NotWeierstrass(ThetaLabError):
-    """The point is not fixed by the hyperelliptic involution."""
 
 
 class FieldTooLarge(ThetaLabError):
@@ -164,10 +161,6 @@ def involution(p: CurvePoint) -> CurvePoint:
     if p.at_infinity:
         return p
     return CurvePoint(p.curve, p.x, p.curve.field(-p.y))
-
-
-def is_weierstrass(p: CurvePoint) -> bool:
-    return p.at_infinity or p.y == p.curve.field.zero
 
 
 def _fp_root_split(g: Poly, field: PrimeField) -> list:
@@ -351,10 +344,6 @@ class PicClass(Value):
     def curve(self) -> HyperellipticCurve:
         return self.base.curve
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.degree == 0 and self.base.is_zero
-
     def __add__(self, other: PicClass) -> PicClass:
         if not isinstance(other, PicClass):
             return NotImplemented
@@ -387,24 +376,11 @@ def point_class(p: CurvePoint) -> PicClass:
 
 
 def reduce_class(curve: HyperellipticCurve, points) -> PicClass:
-    """Canonical form of a formal sum of points.
-
-    Accepts an iterable of CurvePoint or of (CurvePoint, multiplicity)
-    pairs, or a mapping point -> multiplicity.
-    """
-    if hasattr(points, "items"):
-        items = list(points.items())
-    else:
-        items = []
-        for entry in points:
-            if isinstance(entry, CurvePoint):
-                items.append((entry, 1))
-            else:
-                point, mult = entry
-                items.append((point, int(mult)))
+    """Canonical form of a formal sum of points, given as an iterable of
+    (CurvePoint, multiplicity) pairs."""
     total = MumfordDivisor.zero(curve)
     degree = 0
-    for point, mult in items:
+    for point, mult in points:
         degree += mult
         if point.at_infinity:
             continue
@@ -438,13 +414,6 @@ def h0(curve: HyperellipticCurve, d: PicClass) -> int:
     return deg - 1
 
 
-def serre_involution(curve: HyperellipticCurve, L: PicClass) -> PicClass:
-    """L -> K - L on classes of degree 1."""
-    if L.degree != 1:
-        raise WrongDegree(f"expected degree 1, got {L.degree}")
-    return PicClass(negate(curve, L.base), 1)
-
-
 def km2_points(curve: HyperellipticCurve, M: PicClass) -> tuple[CurvePoint, CurvePoint]:
     """The unique effective pair (q1, q2) with [q1 + q2] = K + 2M.
 
@@ -458,15 +427,15 @@ def km2_points(curve: HyperellipticCurve, M: PicClass) -> tuple[CurvePoint, Curv
     if double.u.degree == 0:
         raise OrderTwo("K + 2M is the canonical class")
     pts = double.points() + [curve.infinity()]
-    pair = (pts[0], pts[1])
-    if reduce_class(curve, pair) != PicClass(double, 2):
+    q1, q2 = pts[0], pts[1]
+    if reduce_class(curve, ((q1, 1), (q2, 1))) != PicClass(double, 2):
         raise InvariantViolated("effective pair does not reduce to K + 2M")
-    return pair
+    return q1, q2
 
 
 def theta_translate_intersection(curve: HyperellipticCurve, M: PicClass) -> tuple[PicClass, PicClass]:
     """The two degree-1 classes on both translates of the theta divisor
-    by M and by -M; they are exchanged by the Serre involution."""
+    by M and by -M; they are exchanged by Serre duality L -> K - L."""
     q1, q2 = km2_points(curve, M)
     first = M + point_class(involution(q1))
     second = M + point_class(involution(q2))
@@ -494,19 +463,6 @@ def two_torsion(curve: HyperellipticCurve) -> list[PicClass]:
     if len(classes) != 16:
         raise InvariantViolated("Weierstrass roots gave fewer than 16 two-torsion classes")
     return sorted(classes, key=PicClass._key)
-
-
-def kx_w_pencil_member(curve: HyperellipticCurve, w: CurvePoint, p: CurvePoint):
-    """The effective divisor w + p + involution(p) in the pencil K + [w]."""
-    if not is_weierstrass(w):
-        raise NotWeierstrass(f"{w} is not a Weierstrass point")
-    support: dict[CurvePoint, int] = {}
-    for point in (w, p, involution(p)):
-        support[point] = support.get(point, 0) + 1
-    divisor = sorted(support.items(), key=lambda item: item[0]._key())
-    if reduce_class(curve, divisor) != canonical_class(curve) + point_class(w):
-        raise InvariantViolated("pencil member is not in the class K + [w]")
-    return divisor
 
 
 def curve_points(curve: HyperellipticCurve) -> list[CurvePoint]:
@@ -596,23 +552,15 @@ def enumerate_pic(curve: HyperellipticCurve, degree: int) -> list[PicClass]:
     return [PicClass(div, degree) for div in _all_reduced(curve)]
 
 
-def parse_mumford(curve: HyperellipticCurve, text: str) -> MumfordDivisor:
-    """Parse the canonical printed form 'u=<poly>; v=<poly>'."""
-    return _parse_uv(curve, _key_value_parts(text), text)
-
-
 def parse_class(curve: HyperellipticCurve, text: str) -> PicClass:
     """Parse 'u=<poly>; v=<poly>' with an optional '; d=<degree>'."""
     parts = _key_value_parts(text)
     degree = int(parts.pop("d", "0"))
-    return PicClass(_parse_uv(curve, parts, text), degree)
-
-
-def _parse_uv(curve: HyperellipticCurve, parts: dict[str, str], text: str) -> MumfordDivisor:
     if set(parts) != {"u", "v"}:
         raise ValueError(f"class text needs 'u' and 'v': {text!r}")
-    return MumfordDivisor(curve, parse_poly(parts["u"], curve.field, max_degree=2),
+    base = MumfordDivisor(curve, parse_poly(parts["u"], curve.field, max_degree=2),
                           parse_poly(parts["v"], curve.field, max_degree=2))
+    return PicClass(base, degree)
 
 
 def _key_value_parts(text: str) -> dict[str, str]:
@@ -622,5 +570,8 @@ def _key_value_parts(text: str) -> dict[str, str]:
         if not chunk:
             continue
         key, _, value = chunk.partition("=")
-        parts[key.strip()] = value.strip()
+        key = key.strip()
+        if key in parts:
+            raise ValueError(f"repeated key {key!r}: {text!r}")
+        parts[key] = value.strip()
     return parts

@@ -310,6 +310,15 @@ class TestErrorCodes:
         assert rc == 1
         assert err.startswith("error: INVALID_INPUT:")
 
+    @pytest.mark.parametrize("argv", [
+        ["jac", "--curve", "field=Fp:13; f=0,-1,0,0,0; field=Fp:7", "weierstrass"],
+        ["jac", "--curve", CURVE13, "h0", "--class", "u=x + 7; v=3; d=1; d=5"],
+    ], ids=["curve-spec", "class-spec"])
+    def test_repeated_key_rejected(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: INVALID_INPUT: repeated key ") and err.count("\n") == 1
+
 
 class TestBoundedInput:
     """Inputs that would take unbounded time or memory fail with one error line."""

@@ -1,11 +1,14 @@
 """Source-level guards on the library code."""
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "thetalab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "thetalab"
 
 
 def test_no_assert_statements():
@@ -53,3 +56,22 @@ def test_fields_hold_no_arithmetic_methods():
 
     for cls in (RationalField, PrimeField):
         assert {"add", "sub", "mul", "neg", "div"} & set(vars(cls)) == set(), cls
+
+
+def test_readme_lists_every_error_code():
+    """README's error codes are the codes of every ThetaLabError subclass
+    plus the two the CLI gives to ValueError and ZeroDivisionError."""
+    from thetalab.errors import ThetaLabError
+
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"thetalab.{path.stem}")
+    classes, todo = [], [ThetaLabError]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes += subclasses
+        todo += subclasses
+    codes = {cls().code for cls in classes} | {"INVALID_INPUT", "DIVISION_BY_ZERO"}
+    listed = re.search(r"Error codes:(.*?)\.\s", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert listed is not None
+    assert set(re.findall(r"`([A-Z][A-Z_]+)`", listed.group(1))) == codes
