@@ -15,22 +15,26 @@ most two factors x - e of f.
 
 Over F_p with p <= ENUMERATION_FIELD_BOUND, every reduced pair is listed
 (Cantor, Math. Comp. 48, 1987; Cassels-Flynn, LMS LN 230, ch. 3) by
-solving v^2 = f (mod u) for v on each monic u of degree <= 2, in O(p^3)
-int work.  The list is cached per curve; its u and v come from one table
-per field of every monic quadratic and every polynomial of degree <= 1,
-shared by all curves over that field, so a cached pair is just its
-MumfordDivisor (64 bytes with its tuple slot).  The tables for all odd
-p <= 37 take about 1.1 MB.
+solving v^2 = f (mod u) on each monic u of degree <= 2: for
+v = v1*x + v0 with v1 != 0, s = v1^2 is a root of one quadratic
+D s^2 + B s + r1^2 in the coefficients of u and of f mod u, so each u
+costs one square-root lookup and the whole list O(p^2) int work.  Each
+pair is checked in ints as it is found, and the list is cached per curve
+as two arrays of 2-byte indices into one table per field of every u and
+v a pair can hold: 4 bytes per pair.  The MumfordDivisor and PicClass
+objects are built on each call.  The tables for all odd p <= 37 take
+about 1.1 MB.
 """
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
-from math import isqrt, lcm
+from itertools import combinations, count
+from math import lcm
 
 from .errors import ThetaLabError
-from .fields import PrimeField, QQ, RationalField, field_from_spec, parse_rational
+from .fields import PrimeField, RationalField, field_from_spec, is_prime, parse_rational
 from .polys import Poly, gcd as poly_gcd, parse_poly, xgcd
 from .value import Value
 
@@ -180,32 +184,48 @@ def _fp_root_split(g: Poly, field: PrimeField) -> list:
 
 
 def _rational_roots(g: Poly) -> list[Fraction]:
-    """All rational roots of a polynomial over Q, by the rational root test."""
-    roots: list[Fraction] = []
-    while g[0] == 0 and g.degree > 0:
-        roots.append(Fraction(0))
-        g = g // Poly.x(QQ)
-    if g.degree == 0:
-        return roots
-    denom = lcm(*[Fraction(c).denominator for c in g.coeffs])
-    ints = [int(Fraction(c) * denom) for c in g.coeffs]
-    lead, const = ints[-1], ints[0]
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for candidate in (Fraction(p, q), Fraction(-p, q)):
-                if g(candidate) == 0 and candidate not in roots:
-                    roots.append(candidate)
+    """The rational roots of a monic squarefree polynomial over Q.
+
+    With D the lcm of the coefficient denominators, x = y/D turns g into
+    the monic integer G(y) = D^n g(y/D), whose rational roots are integers
+    of absolute value at most 1 + max|G_i| (Cauchy).  Each is a simple root
+    of G mod the first odd prime l that leaves G squarefree, lifted by
+    Newton's iteration until l^k exceeds twice that bound, and kept if
+    G(y) = 0 exactly (Cohen, GTM 138, sec. 3.5).  No factoring of the
+    coefficients, so the cost is polynomial in their size.
+    """
+    n = g.degree
+    denom = lcm(*[c.denominator for c in g.coeffs])
+    G = [c.numerator * (denom // c.denominator) * denom ** (n - 1 - i)
+         for i, c in enumerate(g.coeffs[:n])] + [1]
+    dG = [i * c for i, c in enumerate(G)][1:]
+    bound = 1 + max(abs(c) for c in G[:n])
+
+    def value(coeffs, y):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * y + c
+        return acc
+
+    ell = 3
+    while True:
+        F = PrimeField(ell)
+        G_ell = Poly(F, G)
+        if poly_gcd(G_ell, G_ell.derivative()).degree == 0:
+            break
+        ell = next(q for q in count(ell + 2, 2) if is_prime(q))
+    y_ell = Poly.x(F)
+    roots = []
+    for r in _fp_root_split(poly_gcd(G_ell, pow(y_ell, ell, G_ell) - y_ell), F):
+        y, m = r, ell
+        while m <= 2 * bound:
+            m *= m
+            y = (y - value(G, y) * pow(value(dG, y), -1, m)) % m
+        if y > m // 2:
+            y -= m
+        if value(G, y) == 0:
+            roots.append(Fraction(y, denom))
     return roots
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
 
 
 def weierstrass_points(curve: HyperellipticCurve) -> list[CurvePoint]:
@@ -466,19 +486,28 @@ def two_torsion(curve: HyperellipticCurve) -> list[PicClass]:
 
 
 def curve_points(curve: HyperellipticCurve) -> list[CurvePoint]:
-    """All points over a small prime field, infinity last."""
-    F = _enumeration_field(curve)
+    """All points over a small prime field, in (x, y) order, infinity last.
+
+    y runs over the square roots of f(x) in the field's root table; each
+    point is checked y^2 = f(x) in ints and built through the slots."""
+    p = _enumeration_field(curve).p
+    roots = _square_roots(p)
+    new = object.__new__
+    set_curve, set_x = CurvePoint.curve.__set__, CurvePoint.x.__set__
+    set_y, set_inf = CurvePoint.y.__set__, CurvePoint.at_infinity.__set__
     points = []
-    for x in F.elements():
-        z = curve.f(x)
-        y = F.sqrt(z)
-        if y is None:
-            continue
-        points.append(curve.point(x, y))
-        if y != 0:
-            points.append(curve.point(x, -y))
-    points.sort(key=CurvePoint._key)
-    return points + [curve.infinity()]
+    for x, z in enumerate(_f_values(curve.f, p)):
+        for y in roots[z]:
+            if (y * y - z) % p:
+                raise InvariantViolated(f"({x}, {y}) is not on the curve")
+            point = new(CurvePoint)
+            set_curve(point, curve)
+            set_x(point, x)
+            set_y(point, y)
+            set_inf(point, False)
+            points.append(point)
+    points.append(curve.infinity())
+    return points
 
 
 def _enumeration_field(curve: HyperellipticCurve) -> PrimeField:
@@ -490,66 +519,127 @@ def _enumeration_field(curve: HyperellipticCurve) -> PrimeField:
     return F
 
 
+# Only reached after _enumeration_field, so each of these caches holds at
+# most one entry per odd p <= ENUMERATION_FIELD_BOUND.
 @cache
-def _small_polys(p: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    """(linear, quadratic) over F_p: linear[c0 + p*c1] is c1*x + c0 and
-    quadratic[u0 + p*u1] is x^2 + u1*x + u0.  Every curve over F_p takes
-    the u and v of its reduced pairs from here, so a cached pair owns no
-    polynomial.  Only _all_reduced calls this, after _enumeration_field,
-    so the cache holds at most one table per odd p <= ENUMERATION_FIELD_BOUND."""
-    F = PrimeField(p)
-    linear = tuple(Poly(F, (c0, c1)) for c1 in range(p) for c0 in range(p))
-    quadratic = tuple(Poly(F, (u0, u1, 1)) for u1 in range(p) for u0 in range(p))
-    return linear, quadratic
-
-
-@cache
-def _all_reduced(curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...]:
-    """Every reduced Mumford pair over a small prime field, cached per curve.
-
-    v is solved for, not searched.  u = 1 has v = 0, u = x - x0 has v = y
-    for each square root y of f(x0), and a monic quadratic u with
-    f = r1*x + r0 (mod u) has v = v1*x + v0 with v^2 = f (mod u): a
-    square root v0 of r0 when v1 = 0 (only if r1 = 0), otherwise
-    v0 = (r1 + v1^2 u1) / (2 v1), kept if v0^2 - v1^2 u0 = r0.  That is
-    O(p^3) int work; MumfordDivisor still checks every pair.
-    """
-    p = _enumeration_field(curve).p
-    linear, quadratic = _small_polys(p)
-    fc = curve.f.coeffs[::-1]
+def _square_roots(p: int) -> tuple[tuple[int, ...], ...]:
+    """roots[z] is the ascending tuple of the y in F_p with y^2 = z."""
     roots: list[list[int]] = [[] for _ in range(p)]
     for y in range(p):
         roots[y * y % p].append(y)
-    found = [MumfordDivisor(curve, linear[1], linear[0])]
-    for x0 in range(p):
-        z = 0
-        for c in fc:
-            z = (z * x0 + c) % p
+    return tuple(tuple(ys) for ys in roots)
+
+
+def _f_values(f: Poly, p: int) -> list[int]:
+    """f(x) for x = 0..p-1, by Horner on the monic quintic's int coefficients."""
+    c0, c1, c2, c3, c4 = f.coeffs[:5]
+    return [(((((x + c4) * x + c3) * x + c2) * x + c1) * x + c0) % p for x in range(p)]
+
+
+@cache
+def _poly_table(p: int) -> tuple[Poly, ...]:
+    """Every u and v a reduced pair over F_p can hold, by index:
+    v0 + v1*x at p*v0 + v1 (below p^2), then the monic u: 1 at p^2,
+    x + u0 at p^2 + 1 + u0 and x^2 + u1*x + u0 at p^2 + p + 1 + p*u0 + u1.
+    Within each degree, index order is MumfordDivisor._key order."""
+    F = PrimeField(p)
+    vs = [Poly(F, (v0, v1)) for v0 in range(p) for v1 in range(p)]
+    us = [Poly(F, (1,))] + [Poly(F, (u0, 1)) for u0 in range(p)]
+    us += [Poly(F, (u0, u1, 1)) for u0 in range(p) for u1 in range(p)]
+    return tuple(vs + us)
+
+
+@cache
+def _all_reduced(curve: HyperellipticCurve) -> tuple[array, array]:
+    """Every reduced Mumford pair over a small prime field, cached per curve
+    as two arrays of _poly_table indices (u, v), in MumfordDivisor._key order.
+
+    v is solved for.  u = 1 has v = 0, and u = x - x0 has v = y for each
+    square root y of f(x0).  A monic quadratic u with f = r1*x + r0 (mod u)
+    has v^2 = (2 v0 v1 - s u1)*x + (v0^2 - s u0) (mod u), s = v1^2.  With
+    v1 = 0 that needs r1 = 0 and v0^2 = r0.  With v1 != 0 it needs
+    v0 = (r1 + s u1) / (2 v1) and, substituted, D s^2 + B s + r1^2 = 0
+    with D = u1^2 - 4 u0, B = 2 r1 u1 - 4 r0: one root-table lookup per u,
+    so O(p^2) int work.  D = B = r1 = 0 would mean (x - a)^2 | f.  Every
+    pair found is checked by both congruences in ints.
+    """
+    p = _enumeration_field(curve).p
+    roots = _square_roots(p)
+    inv = [0] + [pow(a, -1, p) for a in range(1, p)]
+    c0, c1, c2, c3, c4 = curve.f.coeffs[:5]
+    values = _f_values(curve.f, p)
+    us, vs = array("H", [p * p]), array("H", [0])
+    base = p * p + 1
+    for u0 in range(p):
+        x0 = -u0 % p
+        z = values[x0]
         for y in roots[z]:
-            found.append(MumfordDivisor(curve, linear[-x0 % p + p], linear[y]))
-    # (v1^2, 1 / (2 v1), v1) for v1 != 0
-    slopes = [(v1 * v1 % p, pow(2 * v1, -1, p), v1) for v1 in range(1, p)]
-    for u1 in range(p):
-        for u0 in range(p):
-            # f mod u = r1*x + r0, by Horner with x^2 = -u1*x - u0
-            r1 = r0 = 0
-            for c in fc:
-                r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
-            u = quadratic[u0 + p * u1]
-            # v^2 mod u = (2 v0 v1 - v1^2 u1)*x + (v0^2 - v1^2 u0)
-            if r1 == 0:
-                for v0 in roots[r0]:
-                    found.append(MumfordDivisor(curve, u, linear[v0]))
-            for sq, half_inv, v1 in slopes:
-                v0 = (r1 + sq * u1) * half_inv % p
-                if (v0 * v0 - sq * u0 - r0) % p == 0:
-                    found.append(MumfordDivisor(curve, u, linear[v0 + p * v1]))
-    return tuple(sorted(found, key=MumfordDivisor._key))
+            if (y * y - z) % p:
+                raise InvariantViolated(f"v = {y} does not solve v^2 = f({x0})")
+            us.append(base + u0)
+            vs.append(p * y)
+    base += p
+    for u0 in range(p):
+        for u1 in range(p):
+            # f mod u = r1*x + r0, by Horner with x^2 = -u1*x - u0; the first
+            # line is the step from (r1, r0) = (1, c4) to c3
+            r1, r0 = c4 - u1, c3 - u0
+            r1, r0 = (r0 - r1 * u1) % p, (c2 - r1 * u0) % p
+            r1, r0 = (r0 - r1 * u1) % p, (c1 - r1 * u0) % p
+            r1, r0 = (r0 - r1 * u1) % p, (c0 - r1 * u0) % p
+            found = [(v0, 0) for v0 in roots[r0]] if r1 == 0 else []
+            d = (u1 * u1 - 4 * u0) % p
+            b = (2 * r1 * u1 - 4 * r0) % p
+            squares = ()
+            if d:
+                rt = roots[(b * b - 4 * d * r1 * r1) % p]
+                if rt:
+                    h, r = inv[2 * d % p], rt[0]
+                    squares = ((r - b) * h % p, (-r - b) * h % p) if r else (-b * h % p,)
+            elif b:
+                squares = (-r1 * r1 * inv[b] % p,)
+            elif r1 == 0:
+                raise InvariantViolated(f"(x - a)^2 divides f for u = x^2 + {u1}*x + {u0}")
+            for s in squares:
+                if s:
+                    for v1 in roots[s]:
+                        found.append(((r1 + s * u1) * inv[2 * v1 % p] % p, v1))
+            if not found:
+                continue
+            found.sort()
+            for v0, v1 in found:
+                s = v1 * v1
+                if (2 * v0 * v1 - s * u1 - r1) % p or (v0 * v0 - s * u0 - r0) % p:
+                    raise InvariantViolated(f"v = {v1}*x + {v0} does not solve v^2 = f "
+                                            f"mod x^2 + {u1}*x + {u0}")
+                us.append(base + p * u0 + u1)
+                vs.append(p * v0 + v1)
+    return us, vs
 
 
 def enumerate_pic(curve: HyperellipticCurve, degree: int) -> list[PicClass]:
-    """The complete list of degree-d classes over a small prime field."""
-    return [PicClass(div, degree) for div in _all_reduced(curve)]
+    """The complete list of degree-d classes over a small prime field.
+
+    Each pair from _all_reduced was checked when it was found, so its
+    MumfordDivisor and PicClass are built through the slots."""
+    us, vs = _all_reduced(curve)
+    table = _poly_table(curve.field.p)
+    new = object.__new__
+    set_curve, set_u, set_v = (MumfordDivisor.curve.__set__, MumfordDivisor.u.__set__,
+                               MumfordDivisor.v.__set__)
+    set_base, set_degree = PicClass.base.__set__, PicClass.degree.__set__
+    classes = []
+    append = classes.append
+    for ui, vi in zip(us, vs):
+        base = new(MumfordDivisor)
+        set_curve(base, curve)
+        set_u(base, table[ui])
+        set_v(base, table[vi])
+        cls = new(PicClass)
+        set_base(cls, base)
+        set_degree(cls, degree)
+        append(cls)
+    return classes
 
 
 def parse_class(curve: HyperellipticCurve, text: str) -> PicClass:

@@ -5,7 +5,8 @@ the library implementation: floating sines via mpmath, cyclotomic
 arithmetic as dense polynomials over Q (the route the integer kernel in
 thetalab.exact replaced), Jacobian orders via point counts over F_p and
 F_{p^2} fed into the zeta functional equation, every reduced pair over F_p
-by a p^4 scan of candidate (u, v), the two-torsion as the 16 sums of
+by a p^4 scan of candidate (u, v), the points over F_p by
+Tonelli-Shanks at every x, the two-torsion as the 16 sums of
 Cantor additions of Weierstrass points, divisor-class addition via
 CRT interpolation plus a single explicit reduction, and principality of
 split degree-4 divisors via the fibre-pairing criterion.
@@ -201,6 +202,23 @@ def ref_all_reduced(p: int, f_coeffs) -> tuple:
                     if (a * v0 - c1 - r1) % p == 0 and (v0 * v0 - c0 - r0) % p == 0:
                         found.append(((u0, u1, 1), _trim(v0, v1)))
     return tuple(sorted(found, key=lambda uv: (len(uv[0]), uv)))
+
+
+def ref_curve_points(curve):
+    """All points over a small prime field, infinity last: f(x) by Poly
+    evaluation, y by Tonelli-Shanks, each point through CurvePoint's check."""
+    F = hy._enumeration_field(curve)
+    points = []
+    for x in F.elements():
+        z = curve.f(x)
+        y = F.sqrt(z)
+        if y is None:
+            continue
+        points.append(curve.point(x, y))
+        if y != 0:
+            points.append(curve.point(x, -y))
+    points.sort(key=hy.CurvePoint._key)
+    return points + [curve.infinity()]
 
 
 def ref_two_torsion(curve):

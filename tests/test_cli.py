@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetalab import bundles, cli, report, verlinde
 from thetalab import hyperelliptic as hy
@@ -355,12 +360,87 @@ class TestBoundedInput:
         assert (rc, out) == (1, "")
         assert err.startswith("error: INVALID_INPUT: ") and err.count("\n") == 1
 
+    def test_huge_constant_over_q_does_not_split_quickly(self, capsys):
+        """Rational roots come from a root mod a small prime, not from the
+        divisors of the constant term."""
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "jac", "--curve",
+                               "field=Q; f=1000000000000000000000000000007,0,0,0,0", "weierstrass")
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, err) == (1, "", "error: DOES_NOT_SPLIT: f does not split over Q\n")
+
     def test_small_exponents_still_read(self, capsys):
         assert run_cli(capsys, "fit", "--values", "1e0,1e1,5.8e1")[1] == \
             run_cli(capsys, "fit", "--values", "1,10,58")[1]
         rc, out, _ = run_cli(capsys, "jac", "--curve", "field=Fp:13; f=0,-1e0,0,0,0",
                              "weierstrass")
         assert rc == 0 and out.splitlines()[:2] == ["(0, 0)", "(1, 0)"]
+
+
+_NUMBER = st.one_of(
+    st.integers(-50, 50),
+    st.integers(1, 90).flatmap(lambda k: st.integers(-10 ** k, 10 ** k)),
+    st.fractions(max_denominator=10 ** 20).filter(lambda q: abs(q.numerator) < 10 ** 30),
+)
+_JUNK = st.sampled_from(["", "x", "1.5", "-2e3", "1e-4", "1/0", "nan", "inf", "0x1f",
+                         " 7 ", "--", "=", "1,2", "\u221e", "3e400"])
+_SMALL_FIELD = st.sampled_from(["Q", "Fp:3", "Fp:5", "Fp:7", "Fp:13", "Fp:31", "Fp:37", "Fp:41"])
+_FIELD = st.one_of(
+    _SMALL_FIELD,
+    _SMALL_FIELD,
+    st.sampled_from([2 ** 61 - 1, 998244353, 10 ** 9 + 7, 2 ** 89 - 1, 15, 2, 1, 0, -7]).map(
+        lambda p: f"Fp:{p}"),
+    st.integers(-10 ** 40, 10 ** 40).map(lambda p: f"Fp:{p}"),
+    st.sampled_from(["", "Fp:", "Fp:x", "Z", "F13", "q"]),
+)
+
+
+def _split(roots):
+    """c0..c4 of the monic product of x - r."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs[:5]
+
+
+@st.composite
+def _curve_spec(draw):
+    """Mostly well-formed: five coefficients, a third of them a product of
+    five linear factors, a junk token one time in ten."""
+    if draw(st.integers(0, 2)) == 0:
+        roots = draw(st.lists(_NUMBER, min_size=5, max_size=5, unique=True))
+        tokens = [str(c) for c in _split(roots)]
+    else:
+        size = draw(st.sampled_from([5, 5, 5, 5, 5, 5, 0, 4, 6, 7]))
+        tokens = draw(st.lists(st.one_of(*[_NUMBER.map(str)] * 9, _JUNK),
+                               min_size=size, max_size=size))
+    parts = [f"field={draw(_FIELD)}", "f=" + ",".join(tokens)]
+    if draw(st.integers(0, 9)) == 0:
+        parts = draw(st.permutations(parts + draw(st.lists(
+            st.sampled_from(["f=0,1,0,0,0", "field=Q", "g=1", "junk", ""]), max_size=2))))
+    return "; ".join(parts)
+
+
+class TestFuzz:
+    """Curve specs mixing huge ints, fractions, junk tokens and moduli of
+    every size: each run ends with exit 0, 1 or 2, in bounded time, with at
+    most one error line."""
+
+    ERROR_LINE = re.compile(r"error: [A-Z_]+: [^\n]*\n")
+
+    @pytest.mark.parametrize("op", ["weierstrass", "two-torsion", "enumerate"])
+    @settings(max_examples=60, deadline=2000)
+    @given(spec=_curve_spec())
+    def test_jac_curve_spec(self, op, spec):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["jac", "--curve", spec, op])
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert err.getvalue() == ""
+        elif rc == 1:
+            assert out.getvalue() == ""
+            assert self.ERROR_LINE.fullmatch(err.getvalue())
 
 
 class TestUsage:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from thetalab import hyperelliptic as hy
@@ -87,6 +88,34 @@ class TestWeierstrass:
         with pytest.raises(hy.DoesNotSplit):
             hy.weierstrass_points(hy.new_curve("Q", [1, 1, 0, 0, 0]))
 
+    def test_rational_roots_match_sympy(self):
+        """Seeded monic quintics over Q with 0 to 5 rational roots, some near
+        10^15 and some with denominators, against sympy's roots over QQ."""
+        rng = random.Random(515)
+        x = sympy.Symbol("x")
+        seen = 0
+        while seen < 40:
+            k = rng.randrange(6)
+            roots = [Fraction(rng.choice([rng.randrange(-40, 41), rng.randrange(10**15 - 50, 10**15 + 50)])
+                              * rng.choice([1, -1]), rng.choice([1, 1, 2, 3, 7, 10**6 + 3]))
+                     for _ in range(k)]
+            rest = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(5 - k)]
+            expr = sympy.prod([x - sympy.Rational(r.numerator, r.denominator) for r in roots]) * (
+                x ** (5 - k) + sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                                   for i, c in enumerate(rest)))
+            coeffs = [Fraction(int(c.p), int(c.q))
+                      for c in reversed(sympy.Poly(expr, x, domain="QQ").all_coeffs())]
+            try:
+                curve = hy.new_curve("Q", coeffs[:5])
+            except hy.NotSquarefree:
+                continue
+            expected = {Fraction(int(r.p), int(r.q))
+                        for r in sympy.Poly(expr, x, domain="QQ").ground_roots()}
+            found = hy._rational_roots(curve.f)
+            assert len(found) == len(set(found))
+            assert set(found) == expected >= set(roots)
+            seen += 1
+
     def test_involution_on_affine_points(self, curve13):
         p = curve13.point(2, 2)
         assert hy.involution(p) == curve13.point(2, 11)
@@ -130,7 +159,7 @@ class TestMumford:
         assert d.points() == [curve13.point(11, 3)] * 2
 
     def test_points_does_not_split(self):
-        for d in hy._all_reduced(CURVE13):
+        for d in [c.base for c in hy.enumerate_pic(CURVE13, 0)]:
             if d.u.degree == 2:
                 disc = (d.u[1] * d.u[1] - 4 * d.u[0]) % 13
                 if F13.sqrt(disc) is None:
@@ -162,7 +191,7 @@ class TestGroupLaw:
         assert n * a == total
 
     def test_chord_oracle_agreement(self, curve13, rng):
-        pool = [d for d in hy._all_reduced(curve13) if d.u.degree == 2]
+        pool = [d for d in [c.base for c in hy.enumerate_pic(curve13, 0)] if d.u.degree == 2]
         checked = 0
         while checked < 50:
             a, b = rng.choice(pool), rng.choice(pool)
@@ -561,7 +590,7 @@ class TestEnumeration:
 
 class TestParsing:
     def test_mumford_round_trip(self, curve13):
-        for d in hy._all_reduced(curve13)[:25]:
+        for d in [c.base for c in hy.enumerate_pic(curve13, 0)][:25]:
             assert hy.parse_class(curve13, str(d)).base == d
 
     def test_class_round_trip(self, curve13):
