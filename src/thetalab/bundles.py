@@ -21,9 +21,7 @@ class BundleSymbol(Value):
     __slots__ = ("rank", "degree", "genus")
 
     def __init__(self, rank: int, degree: int, genus: int = 2) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "genus", genus)
+        super().__init__(rank, degree, genus)
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.genus < 2:
@@ -80,14 +78,6 @@ class RaynaudInvariants(Value):
     __slots__ = ("mukai_rank", "duplication_degree", "theta_self_int_2theta",
                  "pullback_degree_on_Y", "slope_Ec")
 
-    def __init__(self, mukai_rank: int, duplication_degree: int, theta_self_int_2theta: int,
-                 pullback_degree_on_Y: int, slope_Ec: Fraction) -> None:
-        object.__setattr__(self, "mukai_rank", mukai_rank)
-        object.__setattr__(self, "duplication_degree", duplication_degree)
-        object.__setattr__(self, "theta_self_int_2theta", theta_self_int_2theta)
-        object.__setattr__(self, "pullback_degree_on_Y", pullback_degree_on_Y)
-        object.__setattr__(self, "slope_Ec", slope_Ec)
-
 
 def raynaud_invariants(g: int = 2) -> RaynaudInvariants:
     """The invariant chain of the rank-4 Fourier-Mukai bundle on a
@@ -105,10 +95,4 @@ def raynaud_invariants(g: int = 2) -> RaynaudInvariants:
     duplication_degree = 2 ** (2 * g)
     pullback_degree = duplication_degree * 2 * g
     slope_ec = Fraction(pullback_degree, duplication_degree) / mukai_rank
-    return RaynaudInvariants(
-        mukai_rank=mukai_rank,
-        duplication_degree=duplication_degree,
-        theta_self_int_2theta=theta2,
-        pullback_degree_on_Y=pullback_degree,
-        slope_Ec=slope_ec,
-    )
+    return RaynaudInvariants(mukai_rank, duplication_degree, theta2, pullback_degree, slope_ec)

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 from .errors import ThetaLabError
 from .fields import QQ
 from .polys import Poly, xgcd
+from .value import Value
 
 if TYPE_CHECKING:
     import mpmath
@@ -100,7 +101,7 @@ def cyclotomic_polynomial(n: int) -> Poly:
     return Poly(QQ, _phi_ints(n))
 
 
-class Cyclo:
+class Cyclo(Value):
     """An element num / den of Q(zeta_N), canonical in the power basis mod Phi_N."""
 
     __slots__ = ("modulus", "num", "den")
@@ -136,9 +137,6 @@ class Cyclo:
         for e, v in terms:
             c[e % modulus] += v
         return cls._make(modulus, _reduce(modulus, c), den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclo is immutable")
 
     def __reduce__(self):
         return (Cyclo, (self.modulus, self.coeffs))
@@ -223,16 +221,9 @@ class Cyclo:
         num = _reduce(self.modulus, [c * self.den for c in num])
         return Cyclo._make(self.modulus, num, den)
 
-    def __truediv__(self, other) -> Cyclo:
-        a, b = Cyclo._common(self, other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other) -> Cyclo:
-        return Cyclo._common(self, other)[1] * self.inverse()
-
     def __pow__(self, n: int) -> Cyclo:
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative power")
         acc = Cyclo.from_rational(1)
         base = self
         while n:

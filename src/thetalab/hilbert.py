@@ -36,12 +36,6 @@ def _frame(n):
 class HilbertFit(Value):
     __slots__ = ("gamma", "sigma", "pi", "chern_degree")
 
-    def __init__(self, gamma: Fraction, sigma: Fraction, pi: Fraction, chern_degree: int) -> None:
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "chern_degree", chern_degree)
-
     def evaluate(self, n) -> Fraction:
         m = Fraction((n + 3) ** 2)
         return self.gamma * _frame(Fraction(n)) * (m * m - self.sigma * m + self.pi)
@@ -82,12 +76,7 @@ def fit_hilbert(p0, p1, p2) -> HilbertFit:
     chern = factorial(10) * gamma
     if chern.denominator != 1:
         raise NonIntegralChern(f"10! * gamma = {chern}")
-    return HilbertFit(
-        gamma=gamma,
-        sigma=g_sigma / gamma,
-        pi=g_pi / gamma,
-        chern_degree=int(chern),
-    )
+    return HilbertFit(gamma, g_sigma / gamma, g_pi / gamma, int(chern))
 
 
 def canonical_power() -> int:

@@ -77,7 +77,7 @@ class HyperellipticCurve(Value):
         return self.f.field
 
     def __init__(self, f: Poly) -> None:
-        object.__setattr__(self, "f", f)
+        super().__init__(f)
         if self.field.characteristic == 2:
             raise EvenCharacteristic("the base field has characteristic 2")
         if self.f.degree != 5 or self.f.lc() != self.field.one:
@@ -85,14 +85,6 @@ class HyperellipticCurve(Value):
         fprime = self.f.derivative()
         if fprime.is_zero or poly_gcd(self.f, fprime).degree != 0:
             raise NotSquarefree("f has a repeated root")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.f == other.f
-
-    def __hash__(self) -> int:
-        return hash((self.f,))
 
     def point(self, x, y) -> CurvePoint:
         return CurvePoint(self, self.field(x), self.field(y))
@@ -109,22 +101,10 @@ class CurvePoint(Value):
     __slots__ = ("curve", "x", "y", "at_infinity")
 
     def __init__(self, curve: HyperellipticCurve, x=None, y=None, at_infinity: bool = False) -> None:
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "at_infinity", at_infinity)
+        super().__init__(curve, x, y, at_infinity)
         if not self.at_infinity:
             if self.curve.field(self.y * self.y) != self.curve.f(self.x):
                 raise ValueError(f"({self.x}, {self.y}) is not on the curve")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.curve, self.x, self.y, self.at_infinity)
-                == (other.curve, other.x, other.y, other.at_infinity))
-
-    def __hash__(self) -> int:
-        return hash((self.curve, self.x, self.y, self.at_infinity))
 
     def __str__(self) -> str:
         if self.at_infinity:
@@ -250,9 +230,7 @@ class MumfordDivisor(Value):
     __slots__ = ("curve", "u", "v")
 
     def __init__(self, curve: HyperellipticCurve, u: Poly, v: Poly) -> None:
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        super().__init__(curve, u, v)
         F = self.curve.field
         if self.u.is_zero or self.u.lc() != F.one:
             raise ValueError("u must be monic")
@@ -262,14 +240,6 @@ class MumfordDivisor(Value):
             raise ValueError("deg v must be smaller than deg u")
         if not self.u.divides(self.v * self.v - self.curve.f):
             raise ValueError("u does not divide v^2 - f")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.curve, self.u, self.v) == (other.curve, other.u, other.v)
-
-    def __hash__(self) -> int:
-        return hash((self.curve, self.u, self.v))
 
     @classmethod
     def zero(cls, curve: HyperellipticCurve) -> MumfordDivisor:
@@ -335,30 +305,18 @@ def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) 
 def scalar_mul(curve: HyperellipticCurve, a: MumfordDivisor, n: int) -> MumfordDivisor:
     if n < 0:
         return scalar_mul(curve, negate(curve, a), -n)
-    acc, base = MumfordDivisor.zero(curve), a
+    acc, base = None, a
     while n:
         if n & 1:
-            acc = cantor_add(curve, acc, base)
+            acc = base if acc is None else cantor_add(curve, acc, base)
         n >>= 1
         if n:
             base = cantor_add(curve, base, base)
-    return acc
+    return MumfordDivisor.zero(curve) if acc is None else acc
 
 
 class PicClass(Value):
     __slots__ = ("base", "degree")
-
-    def __init__(self, base: MumfordDivisor, degree: int) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "degree", degree)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.degree) == (other.base, other.degree)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.degree))
 
     @property
     def curve(self) -> HyperellipticCurve:
@@ -398,15 +356,15 @@ def point_class(p: CurvePoint) -> PicClass:
 def reduce_class(curve: HyperellipticCurve, points) -> PicClass:
     """Canonical form of a formal sum of points, given as an iterable of
     (CurvePoint, multiplicity) pairs."""
-    total = MumfordDivisor.zero(curve)
+    total = None
     degree = 0
     for point, mult in points:
         degree += mult
         if point.at_infinity:
             continue
         piece = scalar_mul(curve, MumfordDivisor.from_point(point), mult)
-        total = cantor_add(curve, total, piece)
-    return PicClass(total, degree)
+        total = piece if total is None else cantor_add(curve, total, piece)
+    return PicClass(MumfordDivisor.zero(curve) if total is None else total, degree)
 
 
 def canonical_class(curve: HyperellipticCurve) -> PicClass:

@@ -37,8 +37,7 @@ class FixedPointDatum(Value):
     __slots__ = ("trace", "jacobian_det")
 
     def __init__(self, trace: Fraction, jacobian_det: Fraction = Fraction(2)) -> None:
-        object.__setattr__(self, "trace", Fraction(trace))
-        object.__setattr__(self, "jacobian_det", Fraction(jacobian_det))
+        super().__init__(Fraction(trace), Fraction(jacobian_det))
         if self.jacobian_det == 0:
             raise ValueError("jacobian determinant must be nonzero")
 
@@ -48,10 +47,7 @@ class LefschetzScenario(Value):
 
     def __init__(self, fixed_points: tuple[FixedPointDatum, ...], h0_total: int,
                  h1_total: int, h0_plus: int) -> None:
-        object.__setattr__(self, "fixed_points", tuple(fixed_points))
-        object.__setattr__(self, "h0_total", h0_total)
-        object.__setattr__(self, "h1_total", h1_total)
-        object.__setattr__(self, "h0_plus", h0_plus)
+        super().__init__(tuple(fixed_points), h0_total, h1_total, h0_plus)
         if min(self.h0_total, self.h1_total, self.h0_plus, 0) < 0:
             raise ValueError("cohomology dimensions must be nonnegative")
         if self.h0_plus > self.h0_total:

@@ -9,9 +9,10 @@ import re
 from fractions import Fraction
 
 from .fields import PrimeField, RationalField
+from .value import Value
 
 
-class Poly:
+class Poly(Value):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()) -> None:
@@ -20,12 +21,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return (Poly, (self.field, self.coeffs))
 
     @classmethod
     def constant(cls, field, c) -> Poly:

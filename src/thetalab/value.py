@@ -1,20 +1,39 @@
 """The base of the immutable value types.
 
 A value type names its fields in ``__slots__``, in the order of its
-``__init__`` parameters, and sets each once with ``object.__setattr__``.
+``__init__`` parameters; ``Value.__init__`` sets one value per field, and
+a subclass with defaults or checks calls it through ``super().__init__``.
 Two values are equal when they are of the same class with equal fields,
-equal values hash alike, and the repr lists the fields by name.
-Frequently compared types override ``__eq__`` and ``__hash__`` field by
-field.
+equal values hash alike, assigning or deleting a field raises
+``AttributeError``, and the repr lists the fields by name.
+
+``Poly`` and ``Cyclo`` keep direct constructors, because one is built for
+every arithmetic result, and an ``__eq__`` that also accepts an int or a
+Fraction; ``Cyclo`` is unhashable, since an element has one form per
+modulus it is embedded in.  ``enumerate_pic`` and ``curve_points`` build
+their objects through the slot descriptors from pairs already checked.
 """
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class Value:
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs) -> None:
+        # Equality and hashing read the fields on every cache lookup and set
+        # insert; one attrgetter does it several times faster than a generator.
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:  # then attrgetter returns the bare value
+            cls._fields = lambda self: (get(self),)
+        else:
+            cls._fields = lambda self: get(self)
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -24,8 +24,7 @@ class VerlindePair(Value):
     __slots__ = ("s", "t")
 
     def __init__(self, s: int, t: int) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+        super().__init__(s, t)
         if self.s < 1 or self.t < 1 or self.s + self.t > 4:
             raise ValueError(f"inadmissible pair ({self.s}, {self.t})")
 

