@@ -170,10 +170,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    """'--values V' as '--values=V': argparse reads a V that starts with a
+    minus sign, like -1,10,58, as an option and rejects the pair."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--values":
+            out[-1] = f"--values={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -25,15 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
 from .errors import ThetaLabError
 from .fields import QQ
 from .polys import Poly, xgcd
 from .value import Value
-
-if TYPE_CHECKING:
-    import mpmath
 
 ORACLE_PRECISION = 160  # bits of mantissa for the floating oracle
 

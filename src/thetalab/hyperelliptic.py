@@ -13,6 +13,13 @@ duality is K - L by the group law.  The two-torsion is written down in
 closed form instead: its 16 classes have v = 0 and u a product of at
 most two factors x - e of f.
 
+The roots e of f are the Weierstrass points.  Over F_p one root finder on
+int coefficient lists mod p finds them: gcd(f, x^p - x), then splitting by
+gcd(g, (x + a)^((p-1)/2) - 1) (Cohen, GTM 138, sec. 1.6).  Over Q the same
+finder gives the roots mod a small prime, which are Hensel-lifted.  Each
+root is checked f(e) = 0, and the Weierstrass points and the 16 classes
+of J[2] are then built through the slots, with no Poly arithmetic.
+
 Over F_p with p <= ENUMERATION_FIELD_BOUND, every reduced pair is listed
 (Cantor, Math. Comp. 48, 1987; Cassels-Flynn, LMS LN 230, ch. 3) by
 solving v^2 = f (mod u) on each monic u of degree <= 2: for
@@ -147,20 +154,80 @@ def involution(p: CurvePoint) -> CurvePoint:
     return CurvePoint(p.curve, p.x, p.curve.field(-p.y))
 
 
-def _fp_root_split(g: Poly, field: PrimeField) -> list:
-    """All roots of a product of distinct linear factors over F_p."""
-    if g.degree == 0:
-        return []
-    if g.degree == 1:
-        return [field(-g[0])]
-    x = Poly.x(field)
-    shift = 0
-    while True:
-        probe = pow(x + shift, (field.p - 1) // 2, g) - 1
-        h = poly_gcd(g, probe)
-        if 0 < h.degree < g.degree:
-            return _fp_root_split(h, field) + _fp_root_split(g // h, field)
-        shift += 1
+# Polynomials over F_p as int lists mod p, low to high, with no trailing
+# zeros; the zero polynomial is [].
+
+def _fp_trim(coeffs, p: int) -> list[int]:
+    out = [c % p for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    return _fp_trim([x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))], p)
+
+
+def _fp_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic m."""
+    dm = len(m) - 1
+    rem = list(a)
+    quo = [0] * max(len(rem) - dm, 0)
+    for k in range(len(rem) - 1 - dm, -1, -1):
+        c = rem[k + dm] % p
+        quo[k] = c
+        if c:
+            for i in range(dm):
+                rem[k + i] -= c * m[i]
+    return quo, _fp_trim(rem[:dm], p)
+
+
+def _fp_linear_pow(a: int, n: int, m: list[int], p: int) -> list[int]:
+    """(x + a)^n mod a monic m of degree >= 2, n >= 1, left to right:
+    square, then multiply by x + a as a shift and a scaling."""
+    acc = [a % p, 1]
+    for bit in bin(n)[3:]:
+        sq = [0] * (2 * len(acc) - 1)
+        for i, ci in enumerate(acc):
+            for j, cj in enumerate(acc):
+                sq[i + j] += ci * cj
+        acc = _fp_divmod(sq, m, p)[1]
+        if bit == "1":
+            acc = _fp_divmod([x + a * y for x, y in zip([0] + acc, acc + [0])], m, p)[1]
+    return acc
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """gcd of a monic a and any b, monic."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = [c * inv % p for c in b], a
+        b = _fp_divmod(b, a, p)[1]
+    return a
+
+
+def _fp_roots(f: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of a monic f of degree >= 2, ascending
+    (Cohen, GTM 138, sec. 1.6).  g = gcd(f, x^p - x), with x^p mod f by
+    square and multiply, is the product of the x - r.  A g of degree > 1 is
+    split by h = gcd(g, (x + a)^((p-1)/2) - 1), the product of the x - r
+    with r + a a nonzero square, for a = 0, 1, 2, ...  Some a in F_p splits
+    any two roots when p is odd, and an a that left g whole leaves its
+    factors whole, so h and g/h go on from the next a."""
+    x = [0, 1]
+    roots, todo = [], [(_fp_gcd(f, _fp_sub(_fp_linear_pow(0, p, f, p), x, p), p), 0)]
+    while todo:
+        g, start = todo.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            for a in count(start):
+                h = _fp_gcd(g, _fp_sub(_fp_linear_pow(a, (p - 1) // 2, g, p), [1], p), p)
+                if 2 <= len(h) < len(g):
+                    todo += [(h, a + 1), (_fp_divmod(g, h, p)[0], a + 1)]
+                    break
+    return sorted(roots)
 
 
 def _rational_roots(g: Poly) -> list[Fraction]:
@@ -188,15 +255,10 @@ def _rational_roots(g: Poly) -> list[Fraction]:
         return acc
 
     ell = 3
-    while True:
-        F = PrimeField(ell)
-        G_ell = Poly(F, G)
-        if poly_gcd(G_ell, G_ell.derivative()).degree == 0:
-            break
+    while len(_fp_gcd(_fp_trim(G, ell), _fp_trim(dG, ell), ell)) != 1:
         ell = next(q for q in count(ell + 2, 2) if is_prime(q))
-    y_ell = Poly.x(F)
     roots = []
-    for r in _fp_root_split(poly_gcd(G_ell, pow(y_ell, ell, G_ell) - y_ell), F):
+    for r in _fp_roots(_fp_trim(G, ell), ell):
         y, m = r, ell
         while m <= 2 * bound:
             m *= m
@@ -210,19 +272,20 @@ def _rational_roots(g: Poly) -> list[Fraction]:
 
 def weierstrass_points(curve: HyperellipticCurve) -> list[CurvePoint]:
     """The five roots of f with y = 0, plus the point at infinity."""
-    F = curve.field
+    F, f = curve.field, curve.f
     if isinstance(F, PrimeField):
-        x = Poly.x(F)
-        radical = poly_gcd(curve.f, pow(x, F.p, curve.f) - x)
-        if radical.degree != 5:
+        roots = _fp_roots(list(f.coeffs), F.p)
+        if len(roots) != 5:
             raise DoesNotSplit("f does not split over the base field")
-        roots = _fp_root_split(radical, F)
     else:
-        roots = _rational_roots(curve.f)
+        roots = sorted(_rational_roots(f))
         if len(roots) != 5:
             raise DoesNotSplit("f does not split over Q")
-    points = [curve.point(r, 0) for r in roots]
-    points.sort(key=CurvePoint._key)
+    points = []
+    for e in roots:
+        if f(e):
+            raise InvariantViolated(f"{e} is not a root of f")
+        points.append(CurvePoint.from_checked(curve, e, F.zero, False))
     return points + [curve.infinity()]
 
 
@@ -427,20 +490,25 @@ def two_torsion(curve: HyperellipticCurve) -> list[PicClass]:
     2[(e, 0)] = 2[infinity] at every finite Weierstrass point, so J[2] is
     the sums of at most two of them: v = 0 and u a product of at most two
     distinct factors x - e of f (Mumford, Tata Lectures on Theta II,
-    ch. IIIa).  No Cantor addition is needed.
+    ch. IIIa).  No Cantor addition is needed.  Each root is checked
+    f(e) = 0, so every such u divides v^2 - f = -f, and the pairs are built
+    through the slots.
     """
-    F = curve.field
+    F, f = curve.field, curve.f
     roots = [w.x for w in weierstrass_points(curve) if not w.at_infinity]
     if len(set(roots)) != 5:
         raise InvariantViolated("f does not have five distinct Weierstrass roots")
-    us = [Poly.constant(F, F.one)]
-    us += [Poly(F, (-e, 1)) for e in roots]
-    us += [Poly(F, (e1 * e2, -e1 - e2, 1)) for e1, e2 in combinations(roots, 2)]
-    zero = Poly(F, ())
-    classes = {PicClass(MumfordDivisor(curve, u, zero), 0) for u in us}
-    if len(classes) != 16:
+    if any(f(e) for e in roots):
+        raise ValueError("u does not divide v^2 - f")
+    one = F.one
+    us = [(one,)] + [(F(-e), one) for e in roots]
+    us += [(F(e1 * e2), F(-e1 - e2), one) for e1, e2 in combinations(roots, 2)]
+    if len(set(us)) != 16:
         raise InvariantViolated("Weierstrass roots gave fewer than 16 two-torsion classes")
-    return sorted(classes, key=PicClass._key)
+    us.sort(key=lambda u: (len(u), u))  # PicClass._key order
+    zero = Poly(F, ())
+    return [PicClass(MumfordDivisor.from_checked(curve, Poly.from_checked(F, u), zero), 0)
+            for u in us]
 
 
 def curve_points(curve: HyperellipticCurve) -> list[CurvePoint]:

@@ -11,7 +11,8 @@ equal values hash alike, assigning or deleting a field raises
 every arithmetic result, and an ``__eq__`` that also accepts an int or a
 Fraction; ``Cyclo`` is unhashable, since an element has one form per
 modulus it is embedded in.  ``enumerate_pic`` and ``curve_points`` build
-their objects through the slot descriptors from pairs already checked.
+their objects through the slot descriptors from pairs already checked, and
+``weierstrass_points`` and ``two_torsion`` through ``from_checked``.
 """
 from __future__ import annotations
 
@@ -34,6 +35,15 @@ class Value:
     def __init__(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_checked(cls, *values):
+        """An instance holding values the caller has already checked: the
+        fields are set as Value.__init__ sets them, and the subclass's own
+        __init__ with its checks is skipped."""
+        obj = object.__new__(cls)
+        Value.__init__(obj, *values)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -181,6 +181,15 @@ class TestFit:
         assert rc == 1
         assert err.startswith("error: INVALID_INPUT:")
 
+    @pytest.mark.parametrize("values", [
+        "-1,10,58", "1,10,58", "-1/2,-3,4", "-5,-50,-290", "1,10", "-1,10,abc", "--help", "",
+    ])
+    def test_space_form_matches_equals_form(self, capsys, values):
+        """A value list that starts with a minus sign is a value, not an option."""
+        spaced = run_cli(capsys, "fit", "--values", values)
+        assert spaced == run_cli(capsys, "fit", f"--values={values}")
+        assert spaced[0] != 2
+
 
 class TestLefschetz:
     def test_sym2(self, capsys):
@@ -509,6 +518,7 @@ class TestFuzz:
         elif rc == 1:
             assert out.getvalue() == ""
             assert self.ERROR_LINE.fullmatch(err.getvalue())
+        return rc, out.getvalue(), err.getvalue()
 
     @pytest.mark.parametrize("op", ["weierstrass", "two-torsion", "enumerate"])
     @settings(max_examples=60, deadline=2000)
@@ -531,7 +541,8 @@ class TestFuzz:
     @settings(max_examples=60, deadline=2000)
     @given(values=_FIT_VALUES)
     def test_fit_values(self, values):
-        self.check(["fit", f"--values={values}"])
+        joined = self.check(["fit", f"--values={values}"])
+        assert self.check(["fit", "--values", values]) == joined
 
 
 class TestUsage:

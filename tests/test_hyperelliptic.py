@@ -116,6 +116,47 @@ class TestWeierstrass:
             assert set(found) == expected >= set(roots)
             seen += 1
 
+    @staticmethod
+    def planted_quintic(rng, p, k):
+        """Low-to-high coefficients mod p of a monic quintic with k planted
+        distinct roots times a random monic factor of degree 5 - k."""
+        f = [rng.randrange(p) for _ in range(5 - k)] + [1]
+        for r in rng.sample(range(p), k):
+            f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+        return f
+
+    def test_fp_roots_match_brute_force(self):
+        """Every odd p <= 37, on quintics with 0 to 5 planted roots (split
+        ones included, repeated roots allowed): exactly the roots by search."""
+        rng = random.Random(1906)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            for k in range(min(p, 5) + 1):
+                for _ in range(4):
+                    f = self.planted_quintic(rng, p, k)
+                    expected = [x for x in range(p)
+                                if sum(c * x ** i for i, c in enumerate(f)) % p == 0]
+                    assert hy._fp_roots(f, p) == expected, (p, f)
+
+    @pytest.mark.parametrize("p", [10007, 1000003, 10**9 + 7])
+    def test_fp_roots_large_fields(self, p):
+        """Every root found has f(e) = 0, the roots are sympy's linear factors,
+        and weierstrass_points raises DoesNotSplit exactly when there are
+        fewer than five."""
+        rng = random.Random(p)
+        x = sympy.Symbol("x")
+        for k in (0, 1, 2, 3, 5, 5):
+            f = self.planted_quintic(rng, p, k)
+            roots = hy._fp_roots(f, p)
+            assert all(sum(c * pow(e, i, p) for i, c in enumerate(f)) % p == 0 for e in roots)
+            factors = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()[1]
+            assert roots == sorted(-int(g.all_coeffs()[1]) % p for g, _ in factors if g.degree() == 1)
+            curve = hy.new_curve(f"Fp:{p}", f[:5])
+            if len(roots) < 5:
+                with pytest.raises(hy.DoesNotSplit):
+                    hy.weierstrass_points(curve)
+            else:
+                assert [w.x for w in hy.weierstrass_points(curve)[:5]] == roots
+
     def test_involution_on_affine_points(self, curve13):
         p = curve13.point(2, 2)
         assert hy.involution(p) == curve13.point(2, 11)

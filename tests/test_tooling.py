@@ -49,6 +49,18 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_leaves_typing_unloaded():
+    """Annotations are strings under `from __future__ import annotations`, so
+    no module needs typing; -S keeps site hooks from importing it first."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, thetalab.cli; print('typing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_fields_hold_no_arithmetic_methods():
     """Elements combine with Python operators; a field only normalises, inverts
     and takes square roots."""
