@@ -217,19 +217,6 @@ class Cyclo(Value):
         num = _reduce(self.modulus, [c * self.den for c in num])
         return Cyclo._make(self.modulus, num, den)
 
-    def __pow__(self, n: int) -> Cyclo:
-        if n < 0:
-            raise ValueError("negative power")
-        acc = Cyclo.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
-
     @property
     def is_zero(self) -> bool:
         return not any(self.num)

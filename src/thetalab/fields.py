@@ -166,9 +166,6 @@ class PrimeField:
                 t = t * c % p
         return min(root, p - root)
 
-    def elements(self):
-        return range(self.p)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ThetaLabError
-from .fields import QQ
-from .polys import Poly
 from .value import Value
 
 
@@ -39,14 +37,6 @@ class HilbertFit(Value):
     def evaluate(self, n) -> Fraction:
         m = Fraction((n + 3) ** 2)
         return self.gamma * _frame(Fraction(n)) * (m * m - self.sigma * m + self.pi)
-
-    def polynomial(self) -> Poly:
-        """The fitted polynomial expanded over Q; degree 10."""
-        x = Poly.x(QQ)
-        frame = (x + 1) * (x + 2) * (x + 3) ** 2 * (x + 4) * (x + 5)
-        m = (x + 3) ** 2
-        quartic = m * m - Poly.constant(QQ, self.sigma) * m + Poly.constant(QQ, self.pi)
-        return frame * quartic * Poly.constant(QQ, self.gamma)
 
 
 def _solve3(rows, rhs):

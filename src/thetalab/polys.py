@@ -1,14 +1,15 @@
 """Dense univariate polynomials over an exact field.
 
 Coefficients are stored low to high with no trailing zeros, so equal
-polynomials have equal coefficient tuples and Poly is hashable.
+polynomials have equal coefficient tuples; Poly is a plain Value, equal
+and hashed by (field, coeffs).  Arithmetic combines two polynomials over
+the same field and never coerces a number to a constant.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
-from .fields import PrimeField, RationalField
 from .value import Value
 
 
@@ -25,10 +26,6 @@ class Poly(Value):
     @classmethod
     def constant(cls, field, c) -> Poly:
         return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field) -> Poly:
-        return cls(field, (field.zero, field.one))
 
     @property
     def degree(self) -> int:
@@ -47,13 +44,11 @@ class Poly(Value):
         return self.coeffs[-1]
 
     def _coerce(self, other) -> Poly | None:
-        if isinstance(other, Poly):
-            if other.field != self.field:
-                raise ValueError("mixed fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.constant(self.field, other)
-        return None
+        if not isinstance(other, Poly):
+            return None
+        if other.field != self.field:
+            raise ValueError("mixed fields")
+        return other
 
     def __add__(self, other) -> Poly:
         other = self._coerce(other)
@@ -61,8 +56,6 @@ class Poly(Value):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
 
     def __neg__(self) -> Poly:
         return Poly(self.field, [-c for c in self.coeffs])
@@ -73,9 +66,6 @@ class Poly(Value):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self[i] - other[i] for i in range(n)])
-
-    def __rsub__(self, other) -> Poly:
-        return (-self) + other
 
     def __mul__(self, other) -> Poly:
         other = self._coerce(other)
@@ -88,23 +78,6 @@ class Poly(Value):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(self.field, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int, modulus: Poly | None = None) -> Poly:
-        """Square and multiply; pow(g, n, m) reduces mod m after each product."""
-        if n < 0:
-            raise ValueError("negative power")
-        def reduce(g: Poly) -> Poly:
-            return g if modulus is None else g % modulus
-        acc, base = reduce(Poly.constant(self.field, self.field.one)), reduce(self)
-        while n:
-            if n & 1:
-                acc = reduce(acc * base)
-            n >>= 1
-            if n:
-                base = reduce(base * base)
-        return acc
 
     def __divmod__(self, other) -> tuple[Poly, Poly]:
         other = self._coerce(other)
@@ -140,13 +113,6 @@ class Poly(Value):
             acc = acc * x + c
         return self.field(acc)
 
-    def compose(self, inner: Poly) -> Poly:
-        F = self.field
-        acc = Poly(F, ())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(F, c)
-        return acc
-
     def monic(self) -> Poly:
         if self.is_zero:
             return self
@@ -158,16 +124,6 @@ class Poly(Value):
 
     def divides(self, other: Poly) -> bool:
         return (other % self).is_zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.field, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
 
     def __repr__(self) -> str:
         return f"Poly({self.field!r}, {list(self.coeffs)!r})"

@@ -8,11 +8,12 @@ equal values hash alike, assigning or deleting a field raises
 ``AttributeError``, and the repr lists the fields by name.
 
 ``Poly`` and ``Cyclo`` keep direct constructors, because one is built for
-every arithmetic result, and an ``__eq__`` that also accepts an int or a
-Fraction; ``Cyclo`` is unhashable, since an element has one form per
-modulus it is embedded in.  ``enumerate_pic`` and ``curve_points`` build
-their objects through the slot descriptors from pairs already checked, and
-``weierstrass_points`` and ``two_torsion`` through ``from_checked``.
+every arithmetic result.  Only ``Cyclo`` keeps its own ``__eq__``, which
+also accepts an int or a Fraction, and is unhashable, since an element has
+one form per modulus it is embedded in.  ``enumerate_pic`` and
+``curve_points`` build their objects through the slot descriptors from
+pairs already checked, and ``weierstrass_points`` and ``two_torsion``
+through ``from_checked``.
 """
 from __future__ import annotations
 

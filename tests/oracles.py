@@ -33,8 +33,7 @@ def mp_sin(k: int, m: int):
 @lru_cache(maxsize=None)
 def ref_cyclotomic_polynomial(n: int) -> Poly:
     """Phi_n over Q as (x^n - 1) / prod of Phi_d over proper divisors d."""
-    x = Poly.x(QQ)
-    num = x ** n - 1
+    num = Poly(QQ, [-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
             num //= ref_cyclotomic_polynomial(d)
@@ -43,7 +42,7 @@ def ref_cyclotomic_polynomial(n: int) -> Poly:
 
 # Reference cyclotomic arithmetic: an element of Q(zeta_N) is the tuple of
 # its phi(N) power-basis coefficients (Fractions), computed with Poly over
-# Q: x^k % Phi_N, compose for embeddings, xgcd for inverses.
+# Q: x^k % Phi_N, x -> x^(M/N) for embeddings, xgcd for inverses.
 
 def _ref_mod(n: int, poly: Poly) -> tuple:
     phi_n = ref_cyclotomic_polynomial(n)
@@ -56,7 +55,10 @@ def ref_zeta(n: int, k: int) -> tuple:
 
 
 def ref_promote(n: int, a, m: int) -> tuple:
-    return _ref_mod(m, Poly(QQ, a).compose(Poly.x(QQ) ** (m // n)))
+    step = m // n
+    spread = [0] * (step * len(a))
+    spread[::step] = a
+    return _ref_mod(m, Poly(QQ, spread))
 
 
 def ref_add(n: int, a, m: int, b) -> tuple:
@@ -78,7 +80,7 @@ def ref_inverse(n: int, a) -> tuple:
 
 @lru_cache(maxsize=None)
 def _ref_inverse_two_i(n: int) -> tuple:
-    return ref_inverse(n, (Poly(QQ, ref_zeta(n, n // 4)) * 2).coeffs)
+    return ref_inverse(n, [2 * c for c in ref_zeta(n, n // 4)])
 
 
 def ref_sin(k: int, m: int) -> tuple:
@@ -187,10 +189,9 @@ def ref_all_reduced(p: int, f_coeffs) -> tuple:
         for y in range(p):
             if (y * y - z) % p == 0:
                 found.append((((-x0) % p, 1), _trim(y)))
-    x = Poly.x(F)
     for u1 in range(p):
         for u0 in range(p):
-            rem = f % (x * x + Poly(F, (u0, u1)))
+            rem = f % Poly(F, (u0, u1, 1))
             r1, r0 = rem[1], rem[0]
             for v1 in range(p):
                 a = (2 * v1) % p
@@ -209,7 +210,7 @@ def ref_curve_points(curve):
     evaluation, y by Tonelli-Shanks, each point through CurvePoint's check."""
     F = hy._enumeration_field(curve)
     points = []
-    for x in F.elements():
+    for x in range(F.p):
         z = curve.f(x)
         y = F.sqrt(z)
         if y is None:

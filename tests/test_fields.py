@@ -1,4 +1,4 @@
-"""Prime-field square roots and polynomial powers against independent oracles."""
+"""Primality, rational parsing and prime-field square roots against independent oracles."""
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,8 +7,7 @@ import pytest
 from sympy import isprime
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from thetalab.fields import PrimeField, QQ, is_prime, parse_rational
-from thetalab.polys import Poly
+from thetalab.fields import PrimeField, is_prime, parse_rational
 
 
 def smallest_roots(p):
@@ -91,35 +90,3 @@ class TestPrimeFieldSqrt:
         assert set(vars(F)) == {"p", "characteristic"}
         F.sqrt(3)
         assert set(vars(F)) == {"p", "characteristic"}
-
-
-def random_poly(rng, field, degree):
-    if field == QQ:
-        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree)]
-    else:
-        coeffs = [rng.randrange(field.p) for _ in range(degree)]
-    return Poly(field, coeffs + [1])
-
-
-class TestPolyPow:
-    @pytest.mark.parametrize("field", [PrimeField(13), QQ], ids=str)
-    def test_modular_power_matches_power_then_remainder(self, field):
-        rng = random.Random(13)
-        for _ in range(3):
-            g = random_poly(rng, field, rng.randint(0, 2))
-            for m in (random_poly(rng, field, 3), random_poly(rng, field, 1),
-                      Poly.constant(field, 3)):
-                for n in (0, 1, 2, 13, 100):
-                    assert pow(g, n, m) == (g ** n) % m, (g, n, m)
-
-    def test_zero_power_modulo_a_constant_is_zero(self):
-        g = Poly(PrimeField(13), [1, 2, 1])
-        assert pow(g, 0, Poly.constant(PrimeField(13), 5)).is_zero
-        assert pow(g, 0, g) == Poly.constant(PrimeField(13), 1)
-
-    def test_negative_power_raises(self):
-        g = Poly(QQ, [1, 1])
-        with pytest.raises(ValueError):
-            g ** -1
-        with pytest.raises(ValueError):
-            pow(g, -2, Poly(QQ, [0, 0, 1]))

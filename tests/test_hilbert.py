@@ -3,7 +3,6 @@ from math import factorial
 
 import pytest
 
-from thetalab.fields import QQ
 from thetalab.hilbert import (
     HilbertFit,
     NonIntegralChern,
@@ -12,7 +11,6 @@ from thetalab.hilbert import (
     canonical_power,
     fit_hilbert,
 )
-from thetalab.polys import Poly
 
 # values of the fitted polynomial at n = 3..10, frozen from the exact
 # closed form (cross-checked below by integrality and symmetry)
@@ -58,20 +56,34 @@ class TestFit:
             assert fit.evaluate(n) == fit.evaluate(-6 - n)
 
 
+def difference(fit, order, start):
+    """The order-th forward difference of fit.evaluate at start."""
+    values = [fit.evaluate(n) for n in range(start, start + order + 1)]
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values[0]
+
+
 class TestPolynomial:
     def test_degree_ten(self, fit):
-        assert fit.polynomial().degree == 10
+        # the 11th difference of a polynomial of degree <= 10 vanishes
+        # everywhere, and the 10th is then constant
+        for start in (-20, -6, 0, 7):
+            assert difference(fit, 11, start) == 0
+            assert difference(fit, 10, start) != 0
 
     def test_leading_coefficient_is_gamma(self, fit):
-        poly = fit.polynomial()
-        assert poly.lc() == fit.gamma
-        assert poly.lc() == Fraction(fit.chern_degree, factorial(10))
+        # the 10th difference of a degree-10 polynomial is 10! times its
+        # leading coefficient, at every start
+        for start in (-20, -6, 0, 7):
+            assert difference(fit, 10, start) == factorial(10) * fit.gamma
+            assert difference(fit, 10, start) == fit.chern_degree == 6
 
     def test_coefficient_level_symmetry(self, fit):
-        poly = fit.polynomial()
-        x = Poly.x(QQ)
-        reflected = poly.compose(-x - 6)
-        assert reflected == poly
+        # p(n) - p(-6 - n) has degree <= 10, so 11 zeros make it the zero
+        # polynomial: p(x) = p(-6 - x) as polynomials
+        for n in range(11):
+            assert fit.evaluate(n) == fit.evaluate(-6 - n)
 
     def test_symmetry_center_matches_canonical_power(self, fit):
         assert canonical_power() == -6

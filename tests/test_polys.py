@@ -4,8 +4,6 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_pow_mod
 
 from thetalab.fields import PrimeField, QQ
 from thetalab.polys import Poly, gcd, xgcd
@@ -99,21 +97,6 @@ def test_gcd_and_xgcd(field, prng):
         assert same(g, expected)
         assert g.is_zero or g.lc() == field.one
         assert s * a + t * b == g
-
-
-def test_pow_mod(field, prng):
-    for _ in range(CASES):
-        g = random_poly(prng, field, 4)
-        m = nonzero_poly(prng, field, 5)
-        sg, sm = to_sympy(g), to_sympy(m)
-        for n in (0, 1, 2, prng.randrange(3, 12)):
-            assert same(pow(g, n, m), (sg**n).rem(sm))
-        if field is QQ:
-            continue
-        for n in (field.p, field.p**2 - 1, 2**64 + 13):
-            expected = gf_pow_mod([int(c) % field.p for c in sg.all_coeffs()], n,
-                                  [int(c) % field.p for c in sm.all_coeffs()], field.p, ZZ)
-            assert same(pow(g, n, m), sympy.Poly(expected or [0], X, modulus=field.p))
 
 
 def test_evaluation_derivative_and_monic(field, prng):

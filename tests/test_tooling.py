@@ -87,3 +87,35 @@ def test_readme_lists_every_error_code():
     listed = re.search(r"Error codes:(.*?)\.\s", (ROOT / "README.md").read_text(), re.DOTALL)
     assert listed is not None
     assert set(re.findall(r"`([A-Z][A-Z_]+)`", listed.group(1))) == codes
+
+
+# Names that stay in the library although no program path reaches them.
+UNREFERENCED_ALLOWED = {
+    "canonical_class": "K = 2*infinity, the canonical class the Riemann-Roch "
+                       "and Serre duality checks name",
+    "zeta": "Cyclo.zeta is the constructor for a root of unity; the tracer names it in a string",
+}
+
+
+def test_every_library_name_has_a_program_reference():
+    """Each function, class and method defined in the library is used by the
+    library or the benchmark: an AST name, attribute or import, not a string.
+    Code that only tests reach is deleted, not kept for them."""
+    defined = {
+        node.name: f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    referenced = set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced.update(part for alias in node.names for part in alias.name.split("."))
+    unreferenced = {name: where for name, where in defined.items() if name not in referenced}
+    assert sorted(unreferenced) == sorted(UNREFERENCED_ALLOWED), unreferenced

@@ -8,6 +8,7 @@ import pytest
 from thetalab import bundles, hilbert, lefschetz, report, verlinde
 from thetalab import hyperelliptic as hy
 from thetalab.exact import Cyclo, cyclo_sin
+from thetalab.fields import QQ
 from thetalab.polys import Poly
 from thetalab.value import Value
 
@@ -44,6 +45,7 @@ SAMPLES = [
     (lambda: report.build_report()[0],
      "ReportRow(label='p(0)', computed='1', expected='1', source='verlinde.hilbert_values')"),
     (lambda: verlinde.VerlindePair(1, 2), "VerlindePair(s=1, t=2)"),
+    (lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]), "Poly(GF(7), [1, 0, 3])"),
 ]
 IDS = [text.partition("(")[0] for _, text in SAMPLES]
 
@@ -96,6 +98,22 @@ class TestValueContract:
 def test_arithmetic_values_are_immutable(make):
     """Poly and Cyclo keep their own constructors but Value's guards."""
     _assert_immutable(make())
+
+
+def test_poly_is_a_plain_value():
+    """Value's equality and hash: the same hash the class cache has always keyed
+    on, and no coercion of ints to constant polynomials."""
+    F = hy.parse_curve(CURVE7).field
+    g = Poly(F, [1, 0, 3])
+    assert hash(g) == hash((g.field, g.coeffs))
+    assert not Poly(F, ()) == 0
+    assert Poly(F, [1]) != 1
+    with pytest.raises(TypeError):
+        g + 1
+    with pytest.raises(TypeError):
+        2 * g
+    with pytest.raises(ValueError, match="mixed fields"):
+        g + Poly(QQ, [1, 0, 3])
 
 
 def test_init_takes_one_value_per_field():
