@@ -16,9 +16,9 @@ over Q (polys.xgcd).  A cosecant needs no inverse: for a root of unity
 w != 1 with w^N = 1, 1/(w - 1) = (1/N) sum_{j<N} j w^j, so cyclo_csc is an
 index map and one reduction like cyclo_sin.
 
-A high-precision floating evaluation (mpmath, 160-bit mantissa, imported
-on first use) serves as the independent cross-check oracle; it never
-feeds back into the exact arithmetic.
+float() is a high-precision floating evaluation (mpmath, 160-bit
+mantissa, imported on first use) that serves as the independent
+cross-check oracle; it never feeds back into the exact arithmetic.
 """
 from __future__ import annotations
 
@@ -91,39 +91,24 @@ def _ints(coeffs) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fs], den
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> Poly:
-    """Phi_n over Q."""
-    return Poly(QQ, _phi_ints(n))
-
-
 class Cyclo(Value):
     """An element num / den of Q(zeta_N), canonical in the power basis mod Phi_N."""
 
     __slots__ = ("modulus", "num", "den")
 
-    def __init__(self, modulus: int, coeffs) -> None:
+    def __init__(self, modulus: int, num=(), den: int = 1) -> None:
+        """num / den from at most phi(modulus) ints, padded with zeros, and
+        den >= 1, stored in lowest terms."""
         phi, _ = _reducer(modulus)
-        num, den = _ints(coeffs)
         if len(num) > phi:
             raise ValueError("coefficient vector longer than phi(N)")
-        self._set(modulus, num + [0] * (phi - len(num)), den)
-
-    def _set(self, modulus: int, num: list[int], den: int) -> None:
+        if den < 1:
+            raise ValueError("denominator must be positive")
         g = gcd(*num, den)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
+        num = tuple(num) if g == 1 else tuple(c // g for c in num)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _make(cls, modulus: int, num: list[int], den: int) -> Cyclo:
-        """num / den from phi(modulus) ints and den > 0, normalised."""
-        self = object.__new__(cls)
-        self._set(modulus, num, den)
-        return self
+        object.__setattr__(self, "num", num + (0,) * (phi - len(num)))
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def _from_terms(cls, modulus: int, terms, den: int = 1) -> Cyclo:
@@ -132,10 +117,7 @@ class Cyclo(Value):
         c = [0] * modulus
         for e, v in terms:
             c[e % modulus] += v
-        return cls._make(modulus, _reduce(modulus, c), den)
-
-    def __reduce__(self):
-        return (Cyclo, (self.modulus, self.coeffs))
+        return cls(modulus, _reduce(modulus, c), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -145,7 +127,7 @@ class Cyclo(Value):
     @classmethod
     def from_rational(cls, value) -> Cyclo:
         value = Fraction(value)
-        return cls._make(1, [value.numerator], value.denominator)
+        return cls(1, (value.numerator,), value.denominator)
 
     @classmethod
     def zeta(cls, modulus: int, power: int = 1) -> Cyclo:
@@ -164,16 +146,11 @@ class Cyclo(Value):
         return Cyclo._from_terms(modulus, terms, self.den)
 
     @staticmethod
-    def _coerce(b) -> Cyclo:
-        if isinstance(b, (int, Fraction)):
-            return Cyclo.from_rational(b)
-        if not isinstance(b, Cyclo):
-            raise TypeError(f"cannot combine Cyclo with {type(b).__name__}")
-        return b
-
-    @staticmethod
     def _common(a: Cyclo, b) -> tuple[Cyclo, Cyclo]:
-        b = Cyclo._coerce(b)
+        if isinstance(b, (int, Fraction)):
+            b = Cyclo.from_rational(b)
+        elif not isinstance(b, Cyclo):
+            raise TypeError(f"cannot combine Cyclo with {type(b).__name__}")
         n = lcm(a.modulus, b.modulus)
         return a.promote(n), b.promote(n)
 
@@ -181,18 +158,7 @@ class Cyclo(Value):
         a, b = Cyclo._common(self, other)
         da, db = a.den, b.den
         num = [x * db + y * da for x, y in zip(a.num, b.num)]
-        return Cyclo._make(a.modulus, num, da * db)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Cyclo:
-        return Cyclo._make(self.modulus, [-c for c in self.num], self.den)
-
-    def __sub__(self, other) -> Cyclo:
-        return self + (-Cyclo._coerce(other))
-
-    def __rsub__(self, other) -> Cyclo:
-        return (-self) + other
+        return Cyclo(a.modulus, num, da * db)
 
     def __mul__(self, other) -> Cyclo:
         a, b = Cyclo._common(self, other)
@@ -202,20 +168,20 @@ class Cyclo(Value):
             if x:
                 for j, y in terms:
                     out[i + j] += x * y
-        return Cyclo._make(a.modulus, _reduce(a.modulus, out), a.den * b.den)
+        return Cyclo(a.modulus, _reduce(a.modulus, out), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Cyclo:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        g, s, _ = xgcd(Poly(QQ, self.num), cyclotomic_polynomial(self.modulus))
+        g, s, _ = xgcd(Poly(QQ, self.num), Poly(QQ, _phi_ints(self.modulus)))
         if g.degree != 0:
             raise ArithmeticError("cyclotomic polynomial not coprime to element")
         # g is monic, so s * num = 1 mod Phi_N and den * s is the inverse
         num, den = _ints(s.coeffs)
         num = _reduce(self.modulus, [c * self.den for c in num])
-        return Cyclo._make(self.modulus, num, den)
+        return Cyclo(self.modulus, num, den)
 
     @property
     def is_zero(self) -> bool:
@@ -230,24 +196,20 @@ class Cyclo(Value):
             raise NotRational(f"{self!r} has nonzero nonconstant coefficients")
         return Fraction(self.num[0], self.den)
 
-    def approx(self, prec: int = ORACLE_PRECISION) -> mpmath.mpc:
-        """Honest floating value via zeta_N = exp(2 pi i / N) at high precision."""
+    def __float__(self) -> float:
+        """The real part of the value at zeta_N = exp(2 pi i / N), evaluated
+        with an ORACLE_PRECISION-bit mantissa."""
         import mpmath  # only floating output needs it; keeps CLI start-up light
 
-        with mpmath.workprec(prec):
+        with mpmath.workprec(ORACLE_PRECISION):
             z = mpmath.exp(2j * mpmath.pi / self.modulus)
             acc = mpmath.mpc(0)
             for c in reversed(self.coeffs):
                 acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
-            return acc
-
-    def __float__(self) -> float:
-        return float(self.approx().real)
+        return float(acc.real)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo.from_rational(other)
-        if not isinstance(other, Cyclo):
+        if not isinstance(other, (int, Fraction, Cyclo)):
             return NotImplemented
         a, b = Cyclo._common(self, other)
         return a.num == b.num and a.den == b.den

@@ -6,9 +6,10 @@ The polynomial is constrained to the shape
     M = (n+3)^2,
 
 which has the built-in symmetry p(n) = p(-6-n) and vanishes at
--1, ..., -5.  Writing the unknowns as (gamma, gamma*sigma, gamma*pi)
-makes the three value constraints an exact linear system; the quadratic
-roots themselves are never extracted.
+-1, ..., -5.  p(n) divided by the frame is the quadratic
+gamma*M^2 - gamma*sigma*M + gamma*pi in M, so the values at n = 0, 1, 2
+(M = 9, 16, 25) fix its coefficients by Lagrange interpolation; the
+quadratic roots themselves are never extracted.
 """
 from __future__ import annotations
 
@@ -39,28 +40,21 @@ class HilbertFit(Value):
         return self.gamma * _frame(Fraction(n)) * (m * m - self.sigma * m + self.pi)
 
 
-def _solve3(rows, rhs):
-    a = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for i in range(3):
-        pivot = next((k for k in range(i, 3) if a[k][i] != 0), None)
-        if pivot is None:
-            raise SingularSystem("no pivot in interpolation system")
-        a[i], a[pivot] = a[pivot], a[i]
-        for k in range(3):
-            if k != i and a[k][i] != 0:
-                factor = a[k][i] / a[i][i]
-                a[k] = [u - factor * v for u, v in zip(a[k], a[i])]
-    return [a[i][3] / a[i][i] for i in range(3)]
-
-
 def fit_hilbert(p0, p1, p2) -> HilbertFit:
-    """Solve for (gamma, sigma, pi) from the values at n = 0, 1, 2."""
-    rows = []
-    for n in (0, 1, 2):
-        m = (n + 3) ** 2
-        c = _frame(n)
-        rows.append((c * m * m, -c * m, c))
-    gamma, g_sigma, g_pi = _solve3(rows, (p0, p1, p2))
+    """Solve for (gamma, sigma, pi) from the values at n = 0, 1, 2.
+
+    The Lagrange basis polynomial of M_i is (M - M_j)(M - M_k) over
+    (M_i - M_j)(M_i - M_k), so the value q_i = p(n_i) / frame(n_i) adds
+    w = q_i / ((M_i - M_j)(M_i - M_k)) times (1, M_j + M_k, M_j * M_k) to
+    (gamma, gamma*sigma, gamma*pi)."""
+    ms = (9, 16, 25)  # M = (n+3)^2 at n = 0, 1, 2
+    gamma = g_sigma = g_pi = Fraction(0)
+    for n, p in enumerate((p0, p1, p2)):
+        mj, mk = (ms[j] for j in range(3) if j != n)
+        w = Fraction(p) / (_frame(n) * (ms[n] - mj) * (ms[n] - mk))
+        gamma += w
+        g_sigma += w * (mj + mk)
+        g_pi += w * mj * mk
     if gamma == 0:
         raise SingularSystem("leading coefficient vanished")
     chern = factorial(10) * gamma

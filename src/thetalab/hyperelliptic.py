@@ -118,11 +118,6 @@ class CurvePoint(Value):
             return "infinity"
         return f"({self.x}, {self.y})"
 
-    def _key(self):
-        if self.at_infinity:
-            return (1, 0, 0)
-        return (0, self.x, self.y)
-
 
 def new_curve(field, f_coeffs) -> HyperellipticCurve:
     """Build and validate a curve from low-order coefficients c0..c4 of a
@@ -307,7 +302,7 @@ class MumfordDivisor(Value):
     @classmethod
     def zero(cls, curve: HyperellipticCurve) -> MumfordDivisor:
         F = curve.field
-        return cls(curve, Poly.constant(F, F.one), Poly(F, ()))
+        return cls(curve, Poly(F, (F.one,)), Poly(F, ()))
 
     @classmethod
     def from_point(cls, p: CurvePoint) -> MumfordDivisor:
@@ -315,7 +310,7 @@ class MumfordDivisor(Value):
         if p.at_infinity:
             return cls.zero(p.curve)
         F = p.curve.field
-        return cls(p.curve, Poly(F, (-p.x, 1)), Poly.constant(F, p.y))
+        return cls(p.curve, Poly(F, (-p.x, 1)), Poly(F, (p.y,)))
 
     @property
     def is_zero(self) -> bool:

@@ -23,10 +23,6 @@ class Poly(Value):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def constant(cls, field, c) -> Poly:
-        return cls(field, (c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -161,7 +157,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, s, t) with g = s*a + t*b and g monic."""
     F = a.field
-    one = Poly.constant(F, F.one)
+    one = Poly(F, (F.one,))
     zero = Poly(F, ())
     r0, r1 = a, b
     s0, s1 = one, zero
@@ -174,7 +170,7 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     if r0.is_zero:
         return r0, s0, t0
     inv_lc = F.inv(r0.lc())
-    scale = Poly.constant(F, inv_lc)
+    scale = Poly(F, (inv_lc,))
     return r0.monic(), s0 * scale, t0 * scale
 
 

@@ -75,7 +75,7 @@ def ref_inverse(n: int, a) -> tuple:
     g, s, _ = xgcd(Poly(QQ, a), ref_cyclotomic_polynomial(n))
     if g.degree != 0:
         raise ZeroDivisionError("not invertible")
-    return _ref_mod(n, s * Poly.constant(QQ, QQ.inv(g[0])))
+    return _ref_mod(n, s * Poly(QQ, (QQ.inv(g[0]),)))
 
 
 @lru_cache(maxsize=None)
@@ -205,6 +205,11 @@ def ref_all_reduced(p: int, f_coeffs) -> tuple:
     return tuple(sorted(found, key=lambda uv: (len(uv[0]), uv)))
 
 
+def point_key(p):
+    """A sort key for curve points: finite points by (x, y), infinity last."""
+    return (1, 0, 0) if p.at_infinity else (0, p.x, p.y)
+
+
 def ref_curve_points(curve):
     """All points over a small prime field, infinity last: f(x) by Poly
     evaluation, y by Tonelli-Shanks, each point through CurvePoint's check."""
@@ -218,7 +223,7 @@ def ref_curve_points(curve):
         points.append(curve.point(x, y))
         if y != 0:
             points.append(curve.point(x, -y))
-    points.sort(key=hy.CurvePoint._key)
+    points.sort(key=point_key)
     return points + [curve.infinity()]
 
 

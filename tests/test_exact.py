@@ -5,38 +5,31 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetalab.exact import (
-    Cyclo,
-    NotRational,
-    cyclo_csc,
-    cyclo_sin,
-    cyclotomic_polynomial,
-)
-from thetalab.fields import QQ
-from thetalab.polys import Poly
+from thetalab.exact import Cyclo, NotRational, _phi_ints, cyclo_csc, cyclo_sin
 
 from oracles import mp_sin, ref_add, ref_inverse, ref_mul, ref_sin
 
 
 class TestCyclotomicPolynomial:
+    """_phi_ints(n) is Phi_n as monic ints, low to high."""
+
     def test_degrees_match_phi_up_to_48(self):
         import sympy
 
         for n in range(1, 49):
-            assert cyclotomic_polynomial(n).degree == sympy.totient(n)
+            assert len(_phi_ints(n)) - 1 == sympy.totient(n)
 
     def test_small_cases(self):
-        assert cyclotomic_polynomial(1) == Poly(QQ, [-1, 1])
-        assert cyclotomic_polynomial(2) == Poly(QQ, [1, 1])
-        assert cyclotomic_polynomial(4) == Poly(QQ, [1, 0, 1])
+        assert _phi_ints(1) == (-1, 1)
+        assert _phi_ints(2) == (1, 1)
+        assert _phi_ints(4) == (1, 0, 1)
 
     def test_prime_case_is_geometric(self):
         for p in (3, 5, 7, 11, 13):
-            assert cyclotomic_polynomial(p) == Poly(QQ, [1] * p)
+            assert _phi_ints(p) == (1,) * p
 
     def test_phi_40(self):
-        assert cyclotomic_polynomial(40) == Poly(QQ, [1, 0, 0, 0, -1, 0, 0, 0, 1,
-                                                      0, 0, 0, -1, 0, 0, 0, 1])
+        assert _phi_ints(40) == (1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 1)
 
     def test_against_sympy_up_to_200(self):
         import sympy
@@ -44,16 +37,49 @@ class TestCyclotomicPolynomial:
         x = sympy.Symbol("x")
         for n in range(1, 201):
             expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
-            assert cyclotomic_polynomial(n).coeffs == tuple(expected)
-            assert len(Cyclo(n, ()).num) == sympy.totient(n)
+            assert _phi_ints(n) == tuple(expected)
+            assert len(Cyclo(n).num) == sympy.totient(n)
 
     def test_product_over_divisors(self):
-        for n in (6, 12, 20):
-            prod = Poly.constant(QQ, QQ.one)
+        import sympy
+
+        x = sympy.Symbol("x")
+        for n in (6, 12, 20, 148):
+            prod = sympy.Poly(1, x)
             for d in range(1, n + 1):
                 if n % d == 0:
-                    prod *= cyclotomic_polynomial(d)
-            assert prod == Poly(QQ, [-1] + [0] * (n - 1) + [1])
+                    prod *= sympy.Poly(_phi_ints(d)[::-1], x)
+            assert prod == sympy.Poly(x ** n - 1, x)
+
+
+class TestConstructor:
+    """Cyclo(N, num, den) takes at most phi(N) ints and stores num / den in
+    lowest terms."""
+
+    def test_pads_with_zeros(self):
+        x = Cyclo(20, (3, -1))
+        assert x.num == (3, -1, 0, 0, 0, 0, 0, 0)
+        assert x.den == 1
+        assert Cyclo(20).num == (0,) * 8
+
+    def test_lowest_terms(self):
+        x = Cyclo(5, (6, -4, 0, 10), 8)
+        assert (x.num, x.den) == ((3, -2, 0, 5), 4)
+        assert x.coeffs == (Fraction(3, 4), Fraction(-1, 2), 0, Fraction(5, 4))
+        zero = Cyclo(12, (), 7)
+        assert (zero.num, zero.den) == ((0,) * 4, 1)
+        assert Cyclo(5, (6, -4), 8) == Cyclo(5, (3, -2), 4)
+
+    def test_rejects_more_than_phi_entries(self):
+        with pytest.raises(ValueError, match="longer than phi"):
+            Cyclo(5, (1, 2, 3, 4, 5))
+        with pytest.raises(ValueError, match="longer than phi"):
+            Cyclo(1, (1, 0))
+
+    @pytest.mark.parametrize("den", [0, -1, -6])
+    def test_rejects_den_below_one(self, den):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            Cyclo(5, (1, 2), den)
 
 
 class TestCycloSin:
@@ -67,7 +93,7 @@ class TestCycloSin:
     @given(k=st.integers(-50, 50), m=st.integers(1, 24))
     def test_reflection_and_oddness(self, k, m):
         assert cyclo_sin(m - k, m) == cyclo_sin(k, m)
-        assert cyclo_sin(-k, m) == -cyclo_sin(k, m)
+        assert cyclo_sin(-k, m) == -1 * cyclo_sin(k, m)
 
     def test_sin_product_identity(self):
         prod = Cyclo.from_rational(1)
@@ -161,16 +187,17 @@ def test_kernel_matches_poly_route_for_every_sine_modulus():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Cyclo(0, ()),
-    lambda: Cyclo(-4, ()),
+    lambda: Cyclo(0),
+    lambda: Cyclo(-4, (1,), 3),
     lambda: Cyclo.zeta(0),
     lambda: Cyclo.zeta(-3),
     lambda: Cyclo.zeta(4).promote(0),
     lambda: Cyclo.zeta(4).promote(-4),
     lambda: Cyclo.zeta(4).promote(-3),
-    lambda: cyclotomic_polynomial(0),
+    lambda: _phi_ints(0),
+    lambda: _phi_ints(-12),
 ], ids=["init-0", "init-neg", "zeta-0", "zeta-neg",
-        "promote-0", "promote-neg-multiple", "promote-neg", "phi-poly-0"])
+        "promote-0", "promote-neg-multiple", "promote-neg", "phi-poly-0", "phi-poly-neg"])
 def test_invalid_modulus_is_rejected(build):
     with pytest.raises(ValueError, match="modulus must be positive"):
         build()
@@ -181,7 +208,7 @@ def elements(modulus):
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         min_size=0, max_size=6,
     ).map(lambda cs: sum((Cyclo.zeta(modulus, j) * c for j, c in enumerate(cs)),
-                         Cyclo(modulus, ())))
+                         Cyclo(modulus)))
 
 
 class TestCycloField:
@@ -195,7 +222,7 @@ class TestCycloField:
 
     @given(a=elements(8))
     def test_additive_inverse(self, a):
-        assert (a - a).is_zero
+        assert (a + -1 * a).is_zero
         assert a + 0 == a
 
     @given(a=elements(5))
@@ -213,8 +240,15 @@ class TestCycloField:
     def test_arith_dispatch(self):
         a, b = Cyclo.from_rational(3), Cyclo.from_rational(2)
         assert a + b == 5
-        assert a - b == 1
         assert a * b == 6
+        assert a + 1 == 4
+        assert 2 * a == 6
+
+    def test_no_subtraction_or_negation(self):
+        a = cyclo_sin(1, 5)
+        for op in (lambda: a - a, lambda: 1 - a, lambda: -a, lambda: 1 + a):
+            with pytest.raises(TypeError):
+                op()
 
     def test_cross_modulus_embedding(self):
         assert Cyclo.zeta(40, 8) == Cyclo.zeta(5, 1)

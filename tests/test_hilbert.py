@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -7,7 +8,7 @@ from thetalab.hilbert import (
     HilbertFit,
     NonIntegralChern,
     SingularSystem,
-    _solve3,
+    _frame as frame,
     canonical_power,
     fit_hilbert,
 )
@@ -96,9 +97,10 @@ class TestErrors:
             fit_hilbert(1, 10, Fraction(175, 3))
 
     def test_singular_system_detected(self):
-        rows = ((1, 2, 3), (2, 4, 6), (0, 1, 1))
-        with pytest.raises(SingularSystem):
-            _solve3(rows, (1, 2, 3))
+        # 10! * gamma = 90*p0 - 20*p1 + 2*p2 vanishes on these values
+        for values in ((0, 0, 0), (2, 9, 0), (1, 10, 55)):
+            with pytest.raises(SingularSystem, match="leading coefficient vanished"):
+                fit_hilbert(*values)
 
     def test_chern_linear_in_inputs(self):
         # 10! * gamma = 90*p0 - 20*p1 + 2*p2 by Cramer elimination, so
@@ -106,6 +108,24 @@ class TestErrors:
         for p0, p1, p2 in ((1, 10, 58), (2, 3, 4), (0, 0, 1), (7, -1, 5)):
             fit = fit_hilbert(p0, p1, p2)
             assert fit.chern_degree == 90 * p0 - 20 * p1 + 2 * p2
+
+
+def test_matches_linear_solve():
+    """The Lagrange coefficients solve the 3x3 system of the three values,
+    solved here by sympy over the rationals."""
+    import sympy
+
+    rng = random.Random(20261019)
+    for _ in range(30):
+        values = [rng.randint(-999, 999) for _ in range(3)]  # 10! * gamma is then an integer
+        rows = [[c * m * m, -c * m, c]
+                for c, m in ((frame(n), (n + 3) ** 2) for n in range(3))]
+        solution = sympy.Matrix(rows).LUsolve(sympy.Matrix(values))
+        gamma, g_sigma, g_pi = (Fraction(int(v.p), int(v.q)) for v in solution)
+        if gamma == 0:
+            continue
+        fit = fit_hilbert(*values)
+        assert (fit.gamma, fit.sigma, fit.pi) == (gamma, g_sigma / gamma, g_pi / gamma)
 
 
 class TestEvaluateRational:

@@ -408,8 +408,8 @@ class TestKm2:
                 if hy.reduce_class(curve13, [(points[i], 1), (points[j], 1)]) == target
             ]
             assert len(found) == 1
-            assert sorted(found[0], key=lambda p: p._key()) == sorted(
-                hy.km2_points(curve13, M), key=lambda p: p._key())
+            assert sorted(found[0], key=oracles.point_key) == sorted(
+                hy.km2_points(curve13, M), key=oracles.point_key)
 
     def test_does_not_split_case(self, curve7):
         M = hy.parse_class(curve7, "u=x^2 + 6*x; v=3*x + 1; d=0")
@@ -522,7 +522,7 @@ class TestTwoTorsion:
 
 def _split_curve(field, roots):
     """y^2 = prod of (x - r) over the five roots."""
-    f = Poly.constant(field, 1)
+    f = Poly(field, (1,))
     for r in roots:
         f = f * Poly(field, (-r, 1))
     return hy.HyperellipticCurve(f)

@@ -93,7 +93,7 @@ class TestValueContract:
 
 @pytest.mark.parametrize("make", [
     lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]),
-    lambda: cyclo_sin(1, 5) + Cyclo(3, [Fraction(1, 2), 4]),
+    lambda: cyclo_sin(1, 5) + Cyclo(3, (1, 8), 2),
 ], ids=["Poly", "Cyclo"])
 def test_arithmetic_values_are_immutable(make):
     """Poly and Cyclo keep their own constructors but Value's guards."""
@@ -143,12 +143,14 @@ def test_pickle_round_trip():
 
 @pytest.mark.parametrize("make", [
     lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]),
-    lambda: cyclo_sin(1, 5) + Cyclo(3, [Fraction(1, 2), 4]),
+    lambda: cyclo_sin(1, 5) + Cyclo(3, (1, 8), 2),
+    *(lambda n=n: Cyclo.zeta(n, 3) * Fraction(3, 5) + Fraction(-1, 2) for n in (1, 4, 20, 148)),
     lambda: hy.parse_curve(CURVE7),
     lambda: hy.new_curve("Q", [0, 24, -50, 35, -10]),
     lambda: hy.MumfordDivisor.from_point(_point()),
     lambda: hy.point_class(_point()) * 3,
-], ids=["poly", "cyclo", "curve", "curve_q", "divisor", "class"])
+], ids=["poly", "cyclo", "cyclo-1", "cyclo-4", "cyclo-20", "cyclo-148",
+        "curve", "curve_q", "divisor", "class"])
 @pytest.mark.parametrize("clone", [
     copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
 ], ids=["copy", "deepcopy", "pickle"])
