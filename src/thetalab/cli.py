@@ -27,14 +27,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verlinde(args) -> int:
-    for pair in verlinde.admissible_pairs():
-        factor = verlinde.s_factor(pair)
+    for s, t in verlinde.weights(2):
+        factor = verlinde.s_factor(s, t)
         square = (factor * factor).to_rational()
-        line = f"S({pair.s},{pair.t})^2 = {square}"
+        line = f"S({s},{t})^2 = {square}"
         if args.approx:
             line += f"  (S ~ {float(factor):.6f})"
         print(line)
-    print(f"p(2) = {verlinde.verlinde_p2()}")
+    print(f"p(2) = {verlinde.verlinde(2)}")
     return 0
 
 

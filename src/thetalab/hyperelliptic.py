@@ -341,7 +341,7 @@ class MumfordDivisor(Value):
 
 
 def negate(curve: HyperellipticCurve, a: MumfordDivisor) -> MumfordDivisor:
-    return MumfordDivisor(curve, a.u, (-a.v) % a.u)
+    return MumfordDivisor(curve, a.u, -a.v)
 
 
 def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) -> MumfordDivisor:

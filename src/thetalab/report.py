@@ -1,7 +1,8 @@
-"""One-shot report: recompute every pinned constant and compare.
+"""One-shot report: recompute every headline value and compare.
 
 Each row recomputes one headline value through the public library
-surface and compares its canonical text rendering against the expected
+surface (p(0), p(1) and p(2) from the Verlinde formula at levels 0, 1
+and 2) and compares its canonical text rendering against the expected
 text in EXPECTED.  The EXPECTED table is module-level data so a fault
 injected there (or in the library) flips exactly the affected rows; a
 row whose computation raises a domain, value or arithmetic error shows
@@ -66,6 +67,7 @@ def _computations():
          lambda: values()[0]),
         ("p(1)", "verlinde.hilbert_values",
          lambda: values()[1]),
+        # the label predates verlinde(level); perfbench/audit.py pins its bytes
         ("p(2)", "verlinde.verlinde_p2",
          lambda: values()[2]),
         ("gamma", "hilbert.fit_hilbert",

@@ -1,11 +1,12 @@
-"""Level-2 Verlinde numbers for the rank-2 symplectic group, exactly.
+"""Genus-2 Verlinde numbers of the rank-2 symplectic group Sp(4), exactly.
 
-The six admissible weight pairs (s, t) with s, t >= 1 and s + t <= 4 feed
-a product of four exact sines.  Its inverse is the product of the four
-exact cosecants, so the inverse squares are summed in the cyclotomic
-field with no inverse taken, and only then collapsed to a rational.  A
-failed collapse (NotRational / NotInteger) is a loud arithmetic bug, never a
-rounding issue.
+At level k, n = k + 3 (k plus the dual Coxeter number 3) and the weights
+are the pairs s, t >= 1 with s + t <= k + 2.  Beauville ("Conformal blocks,
+fusion rules and the Verlinde formula", 1996) gives p(k) = h^0(M_2, Xi^k) =
+4n^2 * sum S(s, t)^-2, S(s, t) = 2^4 sin(pi(s+t)/n) sin(pi t/n) sin(pi s/2n)
+sin(pi(s+2t)/2n).  S(s, t)^-1 is 2^-4 times four exact cosecants, so the sum
+is taken in the cyclotomic field with no inverse and only then collapsed to
+a rational; a failed collapse (NotRational / NotInteger) is an arithmetic bug.
 """
 from __future__ import annotations
 
@@ -13,70 +14,51 @@ from fractions import Fraction
 
 from .errors import ThetaLabError
 from .exact import Cyclo, cyclo_csc, cyclo_sin
-from .value import Value
 
 
 class NotInteger(ThetaLabError):
     """A sum that must be an integer is not."""
 
 
-class VerlindePair(Value):
-    __slots__ = ("s", "t")
-
-    def __init__(self, s: int, t: int) -> None:
-        super().__init__(s, t)
-        if self.s < 1 or self.t < 1 or self.s + self.t > 4:
-            raise ValueError(f"inadmissible pair ({self.s}, {self.t})")
-
-
-def admissible_pairs() -> tuple[VerlindePair, ...]:
-    """All pairs s, t >= 1 with s + t <= 4, in a fixed order."""
-    return (
-        VerlindePair(1, 1),
-        VerlindePair(1, 2),
-        VerlindePair(2, 1),
-        VerlindePair(1, 3),
-        VerlindePair(3, 1),
-        VerlindePair(2, 2),
-    )
+def weights(level: int) -> list[tuple[int, int]]:
+    """The pairs (s, t) with s, t >= 1 and s + t <= level + 2, ordered by
+    (s + t, min(s, t), s); at level 2 that is the order `theta-lab
+    verlinde` prints its table in."""
+    if level < 0:
+        raise ValueError("level must be non-negative")
+    pairs = [(s, t) for s in range(1, level + 2) for t in range(1, level + 3 - s)]
+    return sorted(pairs, key=lambda p: (p[0] + p[1], min(p), p[0]))
 
 
-def _sine_product(pair: VerlindePair, factor) -> Cyclo:
+def _sine_product(s: int, t: int, level: int, factor) -> Cyclo:
     """The product of factor(k, m) over the four sines sin(k*pi/m) of S(s, t)."""
-    s, t = pair.s, pair.t
-    product = Cyclo.from_rational(1)
-    for k, m in ((s + t, 5), (t, 5), (s, 10), (s + 2 * t, 10)):
-        product = product * factor(k, m)
-    return product
+    n = level + 3
+    return factor(s + t, n) * factor(t, n) * factor(s, 2 * n) * factor(s + 2 * t, 2 * n)
 
 
-def s_factor(pair: VerlindePair) -> Cyclo:
-    """The sine product S(s, t), exactly.
-
-    S(s, t) = 2^4 sin(pi(s+t)/5) sin(pi t/5) sin(pi s/10) sin(pi(s+2t)/10),
-    the positive-root character product for the rank-2 symplectic Weyl
-    alcove at level 2.  All four arguments lie strictly inside (0, pi) on
-    admissible pairs, so S(s, t) is never zero.
-    """
-    return 16 * _sine_product(pair, cyclo_sin)
+def s_factor(s: int, t: int) -> Cyclo:
+    """The level-2 sine product S(s, t), exactly.  All four arguments lie
+    strictly inside (0, pi) on weights(2), so S(s, t) is never zero."""
+    return 16 * _sine_product(s, t, 2, cyclo_sin)
 
 
-def verlinde_p2() -> int:
-    """The dimension 2^2 * 5^2 * sum of S(s, t)^-2 over admissible pairs,
-    with S(s, t)^-1 = 2^-4 * the product of the four cosecants."""
+def verlinde(level: int) -> int:
+    """p(level) = 4n^2 * the sum of S(s, t)^-2 over weights(level), with
+    n = level + 3 and S(s, t)^-1 = 2^-4 * the product of the four cosecants."""
     total = Cyclo.from_rational(0)
-    for pair in admissible_pairs():
-        term = _sine_product(pair, cyclo_csc)
+    for s, t in weights(level):
+        term = _sine_product(s, t, level, cyclo_csc)
         total = total + term * term
-    value = total.to_rational() * Fraction(100, 256)
+    n = level + 3
+    value = total.to_rational() * Fraction(4 * n * n, 2 ** 8)
     if value.denominator != 1:
-        raise NotInteger(f"p(2) evaluated to {value}")
+        raise NotInteger(f"p({level}) evaluated to {value}")
     return int(value)
 
 
 def hilbert_values() -> tuple[int, int, int]:
-    """(p(0), p(1), p(2)); the first two are pinned, the third computed."""
-    return (1, 10, verlinde_p2())
+    """(p(0), p(1), p(2)), each from the Verlinde formula."""
+    return (verlinde(0), verlinde(1), verlinde(2))
 
 
 def theta_eigendims(n: int, g: int) -> tuple[int, int]:

@@ -20,9 +20,9 @@ ZERO13 = hy.PicClass(hy.MumfordDivisor.zero(CURVE13), 0)
 
 
 def test_c01_verlinde_exactness():
-    assert verlinde.verlinde_p2() == 58
-    total = sum(1.0 / float(verlinde.s_factor(p)) ** 2
-                for p in verlinde.admissible_pairs())
+    assert verlinde.verlinde(2) == 58
+    total = sum(1.0 / float(verlinde.s_factor(s, t)) ** 2
+                for s, t in verlinde.weights(2))
     assert abs(100.0 * total - 58.0) < 1e-6
 
 

@@ -79,18 +79,18 @@ class TestReport:
         assert failed == ["mukai rank", "duplication degree", "pullback degree", "slope E_c"]
         assert [r.label for r in rows if r.status == "mismatch"] == failed
 
-    def test_verlinde_p2_once_per_report(self, monkeypatch):
-        calls = []
-        original = verlinde.verlinde_p2
+    def test_verlinde_once_per_level_per_report(self, monkeypatch):
+        levels = []
+        original = verlinde.verlinde
 
-        def counted():
-            calls.append(1)
-            return original()
-        monkeypatch.setattr(verlinde, "verlinde_p2", counted)
+        def counted(level):
+            levels.append(level)
+            return original(level)
+        monkeypatch.setattr(verlinde, "verlinde", counted)
         report.build_report()
-        assert len(calls) == 1
+        assert levels == [0, 1, 2]
         report.build_report()
-        assert len(calls) == 2
+        assert levels == [0, 1, 2, 0, 1, 2]
 
     def test_no_cantor_addition_or_cyclotomic_inverse(self, monkeypatch):
         calls = []

@@ -134,3 +134,23 @@ def test_every_library_name_has_a_program_reference():
         if name not in attributes and (name in methods or name not in names)
     }
     assert sorted(unreferenced) == sorted(UNREFERENCED_ALLOWED), unreferenced
+
+
+# Report source labels that name no attribute of their module, with the reason.
+STALE_SOURCE_ALLOWED = {
+    "verlinde.verlinde_p2": "p(2) now comes from verlinde(2); perfbench/audit.py pins the "
+                            "label's bytes until the benchmark's next change",
+}
+
+
+def test_every_report_source_names_a_library_attribute():
+    """A row's source label is `module.name`; a label that outlives the
+    function it names fails here instead of passing silently."""
+    from thetalab import report
+
+    stale = set()
+    for row in report.build_report():
+        module, _, name = row.source.partition(".")
+        if not hasattr(importlib.import_module(f"thetalab.{module}"), name):
+            stale.add(row.source)
+    assert stale == set(STALE_SOURCE_ALLOWED)

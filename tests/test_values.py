@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetalab import bundles, hilbert, lefschetz, report, verlinde
+from thetalab import bundles, hilbert, lefschetz, report
 from thetalab import hyperelliptic as hy
 from thetalab.exact import Cyclo, cyclo_sin
 from thetalab.fields import QQ
@@ -44,7 +44,6 @@ SAMPLES = [
      "jacobian_det=Fraction(3, 1)),), h0_total=1, h1_total=2, h0_plus=1)"),
     (lambda: report.build_report()[0],
      "ReportRow(label='p(0)', computed='1', expected='1', source='verlinde.hilbert_values')"),
-    (lambda: verlinde.VerlindePair(1, 2), "VerlindePair(s=1, t=2)"),
     (lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]), "Poly(GF(7), [1, 0, 3])"),
 ]
 IDS = [text.partition("(")[0] for _, text in SAMPLES]
@@ -132,7 +131,6 @@ def test_defaults():
 
 def test_keyword_construction():
     assert bundles.BundleSymbol(rank=3, degree=5, genus=4) == bundles.BundleSymbol(3, 5, 4)
-    assert verlinde.VerlindePair(t=2, s=1) == verlinde.VerlindePair(1, 2)
 
 
 def test_pickle_round_trip():
