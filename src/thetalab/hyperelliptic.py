@@ -7,8 +7,15 @@ stored as a reduced Mumford pair plus a degree shift: the class is
 [div(u, v)] - deg(u)*[infinity] + degree*[infinity].  Reduced pairs are
 unique per class, so equality, hashing, and printing are canonical.
 
-Cantor composition and reduction implement the group law; Riemann-Roch
-dimensions and translate intersections are derived from it, and Serre
+Cantor composition and reduction implement the group law (Cantor, Math.
+Comp. 48, 1987; Cohen-Frey et al., Handbook of Elliptic and Hyperelliptic
+Curve Cryptography, 2006, ch. 14).  Composition takes its two gcds from
+xgcd only where they are not already known: equal u's (a doubling, a +
+(-a), or the same u with v of mixed sign) have gcd(u1, u2) = u2, and
+coprime u's have gcd(1, v1 + v2) = 1.  scalar_mul runs left to right over
+the width-4 NAF digits of |n| (Handbook, sec. 9.1), or over its binary
+digits when those cost fewer Cantor additions.  Riemann-Roch dimensions
+and translate intersections are derived from the group law, and Serre
 duality is K - L by the group law.  The two-torsion is written down in
 closed form instead: its 16 classes have v = 0 and u a product of at
 most two factors x - e of f.
@@ -345,13 +352,35 @@ def negate(curve: HyperellipticCurve, a: MumfordDivisor) -> MumfordDivisor:
 
 
 def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) -> MumfordDivisor:
-    """Cantor composition followed by reduction to deg u <= 2."""
+    """Cantor composition followed by reduction to deg u <= 2.
+
+    d1 = gcd(u1, u2) = e1*u1 + e2*u2 and d = gcd(d1, v1 + v2) = c1*d1 +
+    c2*(v1 + v2) come from xgcd unless already known: u1 = u2 gives
+    (d1, e1, e2) = (u2, 0, 1), and d1 = 1 gives (d, c1, c2) = (1, 1, 0).
+    The terms of the numerator that a zero coefficient cancels are skipped.
+    """
     f = curve.f
-    g1, s1, t1 = xgcd(a.u, b.u)
-    g, s2, t2 = xgcd(g1, a.v + b.v)
-    u3 = (a.u * b.u) // (g * g)
-    num = s2 * s1 * a.u * b.v + s2 * t1 * b.u * a.v + t2 * (a.v * b.v + f)
-    v3 = (num // g) % u3
+    F = curve.field
+    zero, one = Poly(F, ()), Poly(F, (F.one,))
+    if a.u == b.u:
+        d1, e1, e2 = b.u, zero, one
+    else:
+        d1, e1, e2 = xgcd(a.u, b.u)
+    if d1.degree == 0:
+        d, c1, c2 = d1, one, zero
+    else:
+        d, c1, c2 = xgcd(d1, a.v + b.v)
+    num = zero
+    if not e1.is_zero:
+        num = num + c1 * e1 * a.u * b.v
+    if not e2.is_zero:
+        num = num + c1 * e2 * b.u * a.v
+    if not c2.is_zero:
+        num = num + c2 * (a.v * b.v + f)
+    u3 = a.u * b.u
+    if d.degree:
+        u3, num = u3 // (d * d), num // d
+    v3 = num % u3
     u, v = u3, v3
     while u.degree > 2:
         u_next = ((f - v * v) // u).monic()
@@ -360,17 +389,67 @@ def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) 
     return MumfordDivisor(curve, u, v)
 
 
+NAF_WIDTH = 4
+
+
+def _naf_digits(n: int) -> list[int]:
+    """Width-4 NAF of n > 0, low digit first: odd digits in -7..7, each
+    nonzero digit followed by at least three zeros."""
+    size = 1 << NAF_WIDTH
+    digits = []
+    while n:
+        digit = 0
+        if n & 1:
+            digit = n % size
+            if digit >= size // 2:
+                digit -= size
+            n -= digit
+        digits.append(digit)
+        n >>= 1
+    return digits
+
+
+def _cantor_steps(digits: list[int]) -> int:
+    """Cantor additions scalar_mul spends on these digits: the odd
+    multiples 2a, 3a, ..., |top digit|*a, one doubling per digit after
+    the first, and one addition per nonzero digit after the first."""
+    top = max(abs(d) for d in digits)
+    odd_multiples = (top + 1) // 2 if top > 1 else 0
+    return odd_multiples + len(digits) - 1 + sum(1 for d in digits if d) - 1
+
+
 def scalar_mul(curve: HyperellipticCurve, a: MumfordDivisor, n: int) -> MumfordDivisor:
+    """n*a, left to right over the digits of |n|.
+
+    The digits are the width-4 NAF of |n| (Cohen-Frey et al., Handbook of
+    Elliptic and Hyperelliptic Curve Cryptography, sec. 9.1), with the odd
+    multiples 3a, 5a, 7a up to the largest digit computed once, unless
+    the binary digits cost fewer Cantor additions; both costs are counted
+    from the digits first, so no n costs more than binary double-and-add.
+    """
     if n < 0:
         return scalar_mul(curve, negate(curve, a), -n)
-    acc, base = None, a
-    while n:
-        if n & 1:
-            acc = base if acc is None else cantor_add(curve, acc, base)
-        n >>= 1
-        if n:
-            base = cantor_add(curve, base, base)
-    return MumfordDivisor.zero(curve) if acc is None else acc
+    if n == 0:
+        return MumfordDivisor.zero(curve)
+    binary = [(n >> i) & 1 for i in range(n.bit_length())]
+    digits = min(_naf_digits(n), binary, key=_cantor_steps)
+    odd = [a]
+    top = max(abs(d) for d in digits)
+    if top > 1:
+        double = cantor_add(curve, a, a)
+        while 2 * len(odd) - 1 < top:
+            odd.append(cantor_add(curve, odd[-1], double))
+    terms = {}
+    for d in set(digits) - {0}:
+        multiple = odd[abs(d) // 2]
+        terms[d] = multiple if d > 0 else negate(curve, multiple)
+    acc = None
+    for d in reversed(digits):
+        if acc is not None:
+            acc = cantor_add(curve, acc, acc)
+        if d:
+            acc = terms[d] if acc is None else cantor_add(curve, acc, terms[d])
+    return acc
 
 
 class PicClass(Value):

@@ -8,8 +8,10 @@ F_{p^2} fed into the zeta functional equation, every reduced pair over F_p
 by a p^4 scan of candidate (u, v), the points over F_p by
 Tonelli-Shanks at every x, the two-torsion as the 16 sums of
 Cantor additions of Weierstrass points, divisor-class addition via
-CRT interpolation plus a single explicit reduction, and principality of
-split degree-4 divisors via the fibre-pairing criterion.
+CRT interpolation plus a single explicit reduction, Cantor composition
+with both gcds from xgcd and the full numerator, multiples by binary
+double-and-add over it, and principality of split degree-4 divisors via
+the fibre-pairing criterion.
 """
 from __future__ import annotations
 
@@ -263,6 +265,37 @@ def chord_add(curve, a, b):
     u3 = ((curve.f - v * v) // big_u).monic()
     v3 = (-v) % u3
     return (u3, v3)
+
+
+def ref_cantor_add(curve, a, b):
+    """Cantor composition in its general form: both gcds from xgcd, every
+    term of the numerator, then reduction to deg u <= 2."""
+    f = curve.f
+    g1, s1, t1 = xgcd(a.u, b.u)
+    g, s2, t2 = xgcd(g1, a.v + b.v)
+    u3 = (a.u * b.u) // (g * g)
+    num = s2 * s1 * a.u * b.v + s2 * t1 * b.u * a.v + t2 * (a.v * b.v + f)
+    v3 = (num // g) % u3
+    u, v = u3, v3
+    while u.degree > 2:
+        u_next = ((f - v * v) // u).monic()
+        v_next = (-v) % u_next
+        u, v = u_next, v_next
+    return hy.MumfordDivisor(curve, u, v)
+
+
+def ref_scalar_mul(curve, a, n):
+    """n*a by right-to-left binary double-and-add over ref_cantor_add."""
+    if n < 0:
+        a, n = hy.MumfordDivisor(curve, a.u, -a.v), -n
+    acc, base = hy.MumfordDivisor.zero(curve), a
+    while n:
+        if n & 1:
+            acc = ref_cantor_add(curve, acc, base)
+        n >>= 1
+        if n:
+            base = ref_cantor_add(curve, base, base)
+    return acc
 
 
 def is_fibre_union(points) -> bool:

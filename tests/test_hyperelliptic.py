@@ -10,6 +10,7 @@ from thetalab.fields import PrimeField, QQ
 from thetalab.polys import Poly, parse_poly
 
 import oracles
+from conftest import CURVE5_SPEC, CURVE7_SPEC
 
 F13 = PrimeField(13)
 CURVE13 = hy.parse_curve("field=Fp:13; f=0,-1,0,0,0")
@@ -21,6 +22,18 @@ classes13 = st.sampled_from(PIC13)
 
 def pic_zero(curve):
     return hy.PicClass(hy.MumfordDivisor.zero(curve), 0)
+
+
+def random_points(curve, rng, count):
+    """Seeded affine points with y != 0 over a prime field."""
+    F = curve.field
+    points = []
+    while len(points) < count:
+        x = F(rng.randrange(F.p))
+        y = F.sqrt(curve.f(x))
+        if y:
+            points.append(curve.point(x, y))
+    return points
 
 
 class TestCurveValidation:
@@ -601,10 +614,108 @@ class TestCantorCount:
         hy.theta_translate_intersection(curve13, M)
         assert calls["n"] == 4
 
-    @pytest.mark.parametrize("n, expected", [(2, 1), (2**64 - 59, 122)])
+    @pytest.mark.parametrize("n, expected", [(2, 1), (2**64 - 59, 69)])
     def test_scalar_mul_stops_doubling_after_top_bit(self, curve13, calls, n, expected):
         hy.scalar_mul(curve13, hy.parse_class(curve13, "u=x + 2; v=3").base, n)
         assert calls["n"] == expected
+
+    def test_scalar_mul_never_costs_more_than_binary(self, curve13, monkeypatch):
+        """The digits are chosen before any Cantor step, so the count
+        depends on n alone; a stand-in addition that returns its first
+        argument counts the steps without the arithmetic."""
+        counter = {"n": 0}
+
+        def counting_stub(curve, a, b):
+            counter["n"] += 1
+            return a
+
+        monkeypatch.setattr(hy, "cantor_add", counting_stub)
+        a = hy.parse_class(curve13, "u=x + 2; v=3").base
+        rng = random.Random(20261020)
+        for n in list(range(1025)) + [rng.getrandbits(64) for _ in range(200)]:
+            counter["n"] = 0
+            hy.scalar_mul(curve13, a, n)
+            binary = n.bit_length() + bin(n).count("1") - 2 if n else 0
+            assert counter["n"] <= binary, n
+
+
+class TestCompositionOracle:
+    """cantor_add against the general composition (oracles.ref_cantor_add),
+    and scalar_mul against binary double-and-add over it."""
+
+    @staticmethod
+    def assert_same(curve, a, b):
+        result = hy.cantor_add(curve, a, b)
+        expected = oracles.ref_cantor_add(curve, a, b)
+        assert (result.u, result.v) == (expected.u, expected.v), (str(a), str(b))
+
+    @staticmethod
+    def structured_pairs(curve, points, rng, count):
+        """Seeded pairs over classes built from the given affine points:
+        a + b, a + a, a + (-a), the same u with v of mixed sign, a point
+        class plus a degree-2 class, and the zero class."""
+        zero = hy.MumfordDivisor.zero(curve)
+        point = hy.MumfordDivisor.from_point
+        pairs = []
+        while len(pairs) < count:
+            p, q, r = rng.sample(points, 3)
+            a = oracles.ref_cantor_add(curve, point(p), point(q))
+            b = oracles.ref_cantor_add(curve, point(q), point(r))
+            flipped = oracles.ref_cantor_add(curve, point(p), point(hy.involution(q)))
+            neg = hy.MumfordDivisor(curve, a.u, -a.v)
+            pairs += [(a, b), (a, a), (a, neg), (a, flipped), (point(r), a), (zero, b)]
+        return pairs[:count]
+
+    @pytest.mark.parametrize("spec, order", [(CURVE5_SPEC, 36), (CURVE7_SPEC, 50)])
+    def test_every_pair_of_small_jacobian(self, spec, order):
+        curve = hy.parse_curve(spec)
+        classes = [c.base for c in hy.enumerate_pic(curve, 0)]
+        assert len(classes) == order
+        for a in classes:
+            for b in classes:
+                self.assert_same(curve, a, b)
+
+    def test_seeded_pairs_large_prime(self, rng):
+        curve = hy.parse_curve("field=Fp:999983; f=7,3,0,5,1")
+        pairs = self.structured_pairs(curve, random_points(curve, rng, 12), rng, 300)
+        assert any(a.u == b.u and a.v != b.v and a.v != -b.v for a, b in pairs)
+        for a, b in pairs:
+            self.assert_same(curve, a, b)
+
+    def test_seeded_pairs_rational(self, rng):
+        # x(x - 1)(x - 2)(x - 3)(x - 4) + 1 has the points (i, +-1), i = 0..4
+        curve = hy.new_curve("Q", [1, 24, -50, 35, -10])
+        points = [curve.point(i, s) for i in range(5) for s in (1, -1)]
+        pairs = self.structured_pairs(curve, points, rng, 40)
+        multiples = [oracles.ref_scalar_mul(curve, a, 2 + k % 2) for k, (a, _) in enumerate(pairs[:10])]
+        pairs += [(m, b) for m, (_, b) in zip(multiples, pairs)]
+        assert len(pairs) == 50
+        assert any(c.denominator != 1 for m in multiples for c in m.u.coeffs + m.v.coeffs)
+        for a, b in pairs:
+            self.assert_same(curve, a, b)
+
+    def test_scalar_mul_small_n(self, curve13, rng):
+        for a in rng.sample([c.base for c in PIC13], 4):
+            for n in range(-40, 41):
+                assert hy.scalar_mul(curve13, a, n) == oracles.ref_scalar_mul(curve13, a, n)
+
+    @pytest.mark.parametrize("spec", [
+        "field=Fp:13; f=1,1,0,0,0",
+        "field=Fp:37; f=2,0,1,0,0",
+        "field=Fp:999983; f=7,3,0,5,1",
+    ])
+    def test_scalar_mul_64_bit(self, spec, rng):
+        curve = hy.parse_curve(spec)
+        for k, point in enumerate(random_points(curve, rng, 10)):
+            a = hy.MumfordDivisor.from_point(point)
+            n = rng.getrandbits(64) * (-1) ** k
+            assert hy.scalar_mul(curve, a, n) == oracles.ref_scalar_mul(curve, a, n)
+
+    def test_multiples_of_the_group_order_vanish(self, curve13, rng):
+        # J(F13) of y^2 = x^5 - x has order 144
+        zero = hy.MumfordDivisor.zero(curve13)
+        for a in rng.sample([c.base for c in PIC13], 20):
+            assert hy.scalar_mul(curve13, a, 144 * rng.getrandbits(64)) == zero
 
 
 class TestEnumeration:

@@ -154,3 +154,16 @@ def test_every_report_source_names_a_library_attribute():
         if not hasattr(importlib.import_module(f"thetalab.{module}"), name):
             stale.add(row.source)
     assert stale == set(STALE_SOURCE_ALLOWED)
+
+
+def test_every_bench_record_has_the_common_keys():
+    """Each root BENCH_*.json is a benchmark record: what changed, the
+    claim, the command, the method, and whether bytecode was precompiled."""
+    import json
+
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        missing = {"change", "claim", "command", "method", "precompiled"} - set(record)
+        assert not missing, (path.name, missing)
