@@ -9,19 +9,22 @@ unique per class, so equality, hashing, and printing are canonical.
 
 Cantor composition and reduction implement the group law (Cantor, Math.
 Comp. 48, 1987; Cohen-Frey et al., Handbook of Elliptic and Hyperelliptic
-Curve Cryptography, 2006, ch. 14).  Composition takes its two gcds from
-xgcd only where they are not already known: equal u's (a doubling, a +
-(-a), or the same u with v of mixed sign) have gcd(u1, u2) = u2, and
-coprime u's have gcd(1, v1 + v2) = 1.  scalar_mul runs left to right over
-the width-4 NAF digits of |n| (Handbook, sec. 9.1), or over its binary
-digits when those cost fewer Cantor additions.  Riemann-Roch dimensions
-and translate intersections are derived from the group law, and Serre
-duality is K - L by the group law.  The two-torsion is written down in
-closed form instead: its 16 classes have v = 0 and u a product of at
-most two factors x - e of f.
+Curve Cryptography, 2006, ch. 14).  They run on coefficient lists, ints
+mod p over F_p and Fractions over Q, with the list helpers the root
+finder uses; Poly appears only at the edges, in parsing, printing and
+the MumfordDivisor constructor, which checks u | v^2 - f on every result.
+Composition takes its two gcds from _xgcd only where they are not already
+known: equal u's (a doubling, a + (-a), or the same u with v of mixed
+sign) have gcd(u1, u2) = u2, and coprime u's have gcd(1, v1 + v2) = 1.
+scalar_mul runs left to right over the width-4 NAF digits of |n|
+(Handbook, sec. 9.1), or over its binary digits when those cost fewer
+Cantor additions.  Riemann-Roch dimensions and translate intersections
+are derived from the group law, and Serre duality is K - L by the group
+law.  The two-torsion is written down in closed form instead: its 16
+classes have v = 0 and u a product of at most two factors x - e of f.
 
 The roots e of f are the Weierstrass points.  Over F_p one root finder on
-int coefficient lists mod p finds them: gcd(f, x^p - x), then splitting by
+coefficient lists mod p finds them: gcd(f, x^p - x), then splitting by
 gcd(g, (x + a)^((p-1)/2) - 1) (Cohen, GTM 138, sec. 1.6).  Over Q the same
 finder gives the roots mod a small prime, which are Hensel-lifted.  Each
 root is checked f(e) = 0, and the Weierstrass points and the 16 classes
@@ -49,7 +52,7 @@ from math import lcm
 
 from .errors import ThetaLabError
 from .fields import PrimeField, RationalField, field_from_spec, is_prime, parse_rational
-from .polys import Poly, gcd as poly_gcd, parse_poly, xgcd
+from .polys import Poly, gcd as poly_gcd, parse_poly
 from .value import Value
 
 ENUMERATION_FIELD_BOUND = 37
@@ -156,60 +159,104 @@ def involution(p: CurvePoint) -> CurvePoint:
     return CurvePoint(p.curve, p.x, p.curve.field(-p.y))
 
 
-# Polynomials over F_p as int lists mod p, low to high, with no trailing
-# zeros; the zero polynomial is [].
+# Polynomials as coefficient lists, low to high, with no trailing zeros;
+# the zero polynomial is [].  Over F_p the coefficients are ints reduced
+# mod p, over Q they are Fractions: F.characteristic is 0 over Q, so
+# nothing is reduced there, and lead coefficients are inverted by F.inv.
+# Inputs may be any sequence, such as a Poly's coefficient tuple.
 
-def _fp_trim(coeffs, p: int) -> list[int]:
-    out = [c % p for c in coeffs]
+def _trim(coeffs, F) -> list:
+    p = F.characteristic
+    out = [c % p for c in coeffs] if p else list(coeffs)
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _fp_trim([x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))], p)
+def _add(a, b, F) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out, F)
 
 
-def _fp_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+def _sub(a, b, F) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out, F)
+
+
+def _mul(a, b, F) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out, F)
+
+
+def _scale(a, c, F) -> list:
+    return _trim([x * c for x in a], F)
+
+
+def _divmod(a, m, F) -> tuple[list, list]:
     """Quotient and remainder of a by a monic m."""
+    p = F.characteristic
     dm = len(m) - 1
     rem = list(a)
     quo = [0] * max(len(rem) - dm, 0)
     for k in range(len(rem) - 1 - dm, -1, -1):
-        c = rem[k + dm] % p
+        c = rem[k + dm] % p if p else rem[k + dm]
         quo[k] = c
         if c:
             for i in range(dm):
                 rem[k + i] -= c * m[i]
-    return quo, _fp_trim(rem[:dm], p)
+    return quo, _trim(rem[:dm], F)
 
 
-def _fp_linear_pow(a: int, n: int, m: list[int], p: int) -> list[int]:
+def _gcd(a, b, F) -> list:
+    """gcd of a monic a and any b, monic."""
+    while b:
+        a, b = _scale(b, F.inv(b[-1]), F), a
+        b = _divmod(b, a, F)[1]
+    return a
+
+
+def _xgcd(a, b, F) -> tuple[list, list, list]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a monic a; each
+    remainder is made monic, with its cofactors, before dividing by it, so
+    g is monic."""
+    r0, s0, t0 = a, [F.one], []
+    r1, s1, t1 = b, [], [F.one]
+    while r1:
+        inv = F.inv(r1[-1])
+        r1, s1, t1 = _scale(r1, inv, F), _scale(s1, inv, F), _scale(t1, inv, F)
+        q, r = _divmod(r0, r1, F)
+        r0, s0, t0, r1, s1, t1 = (r1, s1, t1, r, _sub(s0, _mul(q, s1, F), F),
+                                  _sub(t0, _mul(q, t1, F), F))
+    return r0, s0, t0
+
+
+def _linear_pow(a: int, n: int, m, F) -> list:
     """(x + a)^n mod a monic m of degree >= 2, n >= 1, left to right:
     square, then multiply by x + a as a shift and a scaling."""
-    acc = [a % p, 1]
+    acc = [F(a), F.one]
     for bit in bin(n)[3:]:
         sq = [0] * (2 * len(acc) - 1)
         for i, ci in enumerate(acc):
             for j, cj in enumerate(acc):
                 sq[i + j] += ci * cj
-        acc = _fp_divmod(sq, m, p)[1]
+        acc = _divmod(sq, m, F)[1]
         if bit == "1":
-            acc = _fp_divmod([x + a * y for x, y in zip([0] + acc, acc + [0])], m, p)[1]
+            acc = _divmod([x + a * y for x, y in zip([0] + acc, acc + [0])], m, F)[1]
     return acc
 
 
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """gcd of a monic a and any b, monic."""
-    while b:
-        inv = pow(b[-1], -1, p)
-        a, b = [c * inv % p for c in b], a
-        b = _fp_divmod(b, a, p)[1]
-    return a
-
-
-def _fp_roots(f: list[int], p: int) -> list[int]:
+def _fp_roots(f, F: PrimeField) -> list[int]:
     """The distinct roots in F_p of a monic f of degree >= 2, ascending
     (Cohen, GTM 138, sec. 1.6).  g = gcd(f, x^p - x), with x^p mod f by
     square and multiply, is the product of the x - r.  A g of degree > 1 is
@@ -217,17 +264,17 @@ def _fp_roots(f: list[int], p: int) -> list[int]:
     with r + a a nonzero square, for a = 0, 1, 2, ...  Some a in F_p splits
     any two roots when p is odd, and an a that left g whole leaves its
     factors whole, so h and g/h go on from the next a."""
-    x = [0, 1]
-    roots, todo = [], [(_fp_gcd(f, _fp_sub(_fp_linear_pow(0, p, f, p), x, p), p), 0)]
+    p = F.p
+    roots, todo = [], [(_gcd(f, _sub(_linear_pow(0, p, f, F), [0, 1], F), F), 0)]
     while todo:
         g, start = todo.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
         elif len(g) > 2:
             for a in count(start):
-                h = _fp_gcd(g, _fp_sub(_fp_linear_pow(a, (p - 1) // 2, g, p), [1], p), p)
+                h = _gcd(g, _sub(_linear_pow(a, (p - 1) // 2, g, F), [1], F), F)
                 if 2 <= len(h) < len(g):
-                    todo += [(h, a + 1), (_fp_divmod(g, h, p)[0], a + 1)]
+                    todo += [(h, a + 1), (_divmod(g, h, F)[0], a + 1)]
                     break
     return sorted(roots)
 
@@ -256,12 +303,12 @@ def _rational_roots(g: Poly) -> list[Fraction]:
             acc = acc * y + c
         return acc
 
-    ell = 3
-    while len(_fp_gcd(_fp_trim(G, ell), _fp_trim(dG, ell), ell)) != 1:
-        ell = next(q for q in count(ell + 2, 2) if is_prime(q))
+    ell = PrimeField(3)
+    while len(_gcd(_trim(G, ell), _trim(dG, ell), ell)) != 1:
+        ell = next(PrimeField(q) for q in count(ell.p + 2, 2) if is_prime(q))
     roots = []
-    for r in _fp_roots(_fp_trim(G, ell), ell):
-        y, m = r, ell
+    for r in _fp_roots(_trim(G, ell), ell):
+        y, m = r, ell.p
         while m <= 2 * bound:
             m *= m
             y = (y - value(G, y) * pow(value(dG, y), -1, m)) % m
@@ -276,7 +323,7 @@ def weierstrass_points(curve: HyperellipticCurve) -> list[CurvePoint]:
     """The five roots of f with y = 0, plus the point at infinity."""
     F, f = curve.field, curve.f
     if isinstance(F, PrimeField):
-        roots = _fp_roots(list(f.coeffs), F.p)
+        roots = _fp_roots(f.coeffs, F)
         if len(roots) != 5:
             raise DoesNotSplit("f does not split over the base field")
     else:
@@ -352,41 +399,42 @@ def negate(curve: HyperellipticCurve, a: MumfordDivisor) -> MumfordDivisor:
 
 
 def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) -> MumfordDivisor:
-    """Cantor composition followed by reduction to deg u <= 2.
+    """Cantor composition followed by reduction to deg u <= 2, on
+    coefficient lists; the result is validated as a Poly pair.
 
     d1 = gcd(u1, u2) = e1*u1 + e2*u2 and d = gcd(d1, v1 + v2) = c1*d1 +
-    c2*(v1 + v2) come from xgcd unless already known: u1 = u2 gives
+    c2*(v1 + v2) come from _xgcd unless already known: u1 = u2 gives
     (d1, e1, e2) = (u2, 0, 1), and d1 = 1 gives (d, c1, c2) = (1, 1, 0).
     The terms of the numerator that a zero coefficient cancels are skipped.
     """
-    f = curve.f
     F = curve.field
-    zero, one = Poly(F, ()), Poly(F, (F.one,))
-    if a.u == b.u:
-        d1, e1, e2 = b.u, zero, one
+    f = curve.f.coeffs
+    u1, v1, u2, v2 = a.u.coeffs, a.v.coeffs, b.u.coeffs, b.v.coeffs
+    one = [F.one]
+    if u1 == u2:
+        d1, e1, e2 = u2, [], one
     else:
-        d1, e1, e2 = xgcd(a.u, b.u)
-    if d1.degree == 0:
-        d, c1, c2 = d1, one, zero
+        d1, e1, e2 = _xgcd(u1, u2, F)
+    if len(d1) == 1:
+        d, c1, c2 = d1, one, []
     else:
-        d, c1, c2 = xgcd(d1, a.v + b.v)
-    num = zero
-    if not e1.is_zero:
-        num = num + c1 * e1 * a.u * b.v
-    if not e2.is_zero:
-        num = num + c1 * e2 * b.u * a.v
-    if not c2.is_zero:
-        num = num + c2 * (a.v * b.v + f)
-    u3 = a.u * b.u
-    if d.degree:
-        u3, num = u3 // (d * d), num // d
-    v3 = num % u3
-    u, v = u3, v3
-    while u.degree > 2:
-        u_next = ((f - v * v) // u).monic()
-        v_next = (-v) % u_next
-        u, v = u_next, v_next
-    return MumfordDivisor(curve, u, v)
+        d, c1, c2 = _xgcd(d1, _add(v1, v2, F), F)
+    num = []
+    if e1:
+        num = _mul(_mul(c1, e1, F), _mul(u1, v2, F), F)
+    if e2:
+        num = _add(num, _mul(_mul(c1, e2, F), _mul(u2, v1, F), F), F)
+    if c2:
+        num = _add(num, _mul(c2, _add(_mul(v1, v2, F), f, F), F), F)
+    u = _mul(u1, u2, F)
+    if len(d) > 1:
+        u, num = _divmod(u, _mul(d, d, F), F)[0], _divmod(num, d, F)[0]
+    v = _divmod(num, u, F)[1]
+    while len(u) > 3:
+        u = _divmod(_sub(f, _mul(v, v, F), F), u, F)[0]
+        u = _scale(u, F.inv(u[-1]), F)
+        v = _sub([], _divmod(v, u, F)[1], F)
+    return MumfordDivisor(curve, Poly(F, u), Poly(F, v))
 
 
 NAF_WIDTH = 4

@@ -46,13 +46,6 @@ class Poly(Value):
             raise ValueError("mixed fields")
         return other
 
-    def __add__(self, other) -> Poly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] + other[i] for i in range(n)])
-
     def __neg__(self) -> Poly:
         return Poly(self.field, [-c for c in self.coeffs])
 
@@ -96,9 +89,6 @@ class Poly(Value):
                 for i, oc in enumerate(other.coeffs):
                     rem[k + i] -= c * oc
         return Poly(F, quo), Poly(F, rem)
-
-    def __floordiv__(self, other) -> Poly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other) -> Poly:
         return divmod(self, other)[1]

@@ -26,6 +26,18 @@ from thetalab.fields import QQ, PrimeField
 from thetalab.polys import Poly, xgcd
 
 
+def plus(a: Poly, b: Poly) -> Poly:
+    """a + b, coefficient by coefficient: the library's Poly has no
+    addition, since its Cantor arithmetic runs on coefficient lists."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Poly(a.field, [a[i] + b[i] for i in range(n)])
+
+
+def quo(a: Poly, b: Poly) -> Poly:
+    """The quotient of a by b."""
+    return divmod(a, b)[0]
+
+
 def mp_sin(k: int, m: int):
     """sin(k*pi/m) at 200-bit precision."""
     with mpmath.workprec(200):
@@ -38,7 +50,7 @@ def ref_cyclotomic_polynomial(n: int) -> Poly:
     num = Poly(QQ, [-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
-            num //= ref_cyclotomic_polynomial(d)
+            num = quo(num, ref_cyclotomic_polynomial(d))
     return num
 
 
@@ -66,7 +78,7 @@ def ref_promote(n: int, a, m: int) -> tuple:
 def ref_add(n: int, a, m: int, b) -> tuple:
     common = lcm(n, m)
     pa, pb = ref_promote(n, a, common), ref_promote(m, b, common)
-    return _ref_mod(common, Poly(QQ, pa) + Poly(QQ, pb))
+    return _ref_mod(common, Poly(QQ, [x + y for x, y in zip(pa, pb)]))
 
 
 def ref_mul(n: int, a, b) -> tuple:
@@ -261,8 +273,8 @@ def chord_add(curve, a, b):
     if g.degree != 0:
         return None
     big_u = a.u * b.u
-    v = (a.v * t * b.u + b.v * s * a.u) % big_u
-    u3 = ((curve.f - v * v) // big_u).monic()
+    v = plus(a.v * t * b.u, b.v * s * a.u) % big_u
+    u3 = quo(curve.f - v * v, big_u).monic()
     v3 = (-v) % u3
     return (u3, v3)
 
@@ -272,13 +284,13 @@ def ref_cantor_add(curve, a, b):
     term of the numerator, then reduction to deg u <= 2."""
     f = curve.f
     g1, s1, t1 = xgcd(a.u, b.u)
-    g, s2, t2 = xgcd(g1, a.v + b.v)
-    u3 = (a.u * b.u) // (g * g)
-    num = s2 * s1 * a.u * b.v + s2 * t1 * b.u * a.v + t2 * (a.v * b.v + f)
-    v3 = (num // g) % u3
+    g, s2, t2 = xgcd(g1, plus(a.v, b.v))
+    u3 = quo(a.u * b.u, g * g)
+    num = plus(plus(s2 * s1 * a.u * b.v, s2 * t1 * b.u * a.v), t2 * plus(a.v * b.v, f))
+    v3 = quo(num, g) % u3
     u, v = u3, v3
     while u.degree > 2:
-        u_next = ((f - v * v) // u).monic()
+        u_next = quo(f - v * v, u).monic()
         v_next = (-v) % u_next
         u, v = u_next, v_next
     return hy.MumfordDivisor(curve, u, v)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from thetalab import hyperelliptic as hy
 from thetalab.fields import PrimeField, QQ
-from thetalab.polys import Poly, parse_poly
+from thetalab import polys
+from thetalab.polys import Poly, gcd as poly_gcd, parse_poly
 
 import oracles
 from conftest import CURVE5_SPEC, CURVE7_SPEC
@@ -148,7 +149,7 @@ class TestWeierstrass:
                     f = self.planted_quintic(rng, p, k)
                     expected = [x for x in range(p)
                                 if sum(c * x ** i for i, c in enumerate(f)) % p == 0]
-                    assert hy._fp_roots(f, p) == expected, (p, f)
+                    assert hy._fp_roots(f, PrimeField(p)) == expected, (p, f)
 
     @pytest.mark.parametrize("p", [10007, 1000003, 10**9 + 7])
     def test_fp_roots_large_fields(self, p):
@@ -159,7 +160,7 @@ class TestWeierstrass:
         x = sympy.Symbol("x")
         for k in (0, 1, 2, 3, 5, 5):
             f = self.planted_quintic(rng, p, k)
-            roots = hy._fp_roots(f, p)
+            roots = hy._fp_roots(f, PrimeField(p))
             assert all(sum(c * pow(e, i, p) for i, c in enumerate(f)) % p == 0 for e in roots)
             factors = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()[1]
             assert roots == sorted(-int(g.all_coeffs()[1]) % p for g, _ in factors if g.degree() == 1)
@@ -648,6 +649,15 @@ class TestCompositionOracle:
         result = hy.cantor_add(curve, a, b)
         expected = oracles.ref_cantor_add(curve, a, b)
         assert (result.u, result.v) == (expected.u, expected.v), (str(a), str(b))
+        return result
+
+    @classmethod
+    def assert_same_printed(cls, curve, a, b):
+        """assert_same, and the result is the class that its own printed
+        text parses back to, with the same hash."""
+        result = hy.PicClass(cls.assert_same(curve, a, b), 0)
+        parsed = hy.parse_class(curve, str(result))
+        assert parsed == result and hash(parsed) == hash(result), str(result)
 
     @staticmethod
     def structured_pairs(curve, points, rng, count):
@@ -666,6 +676,24 @@ class TestCompositionOracle:
             pairs += [(a, b), (a, a), (a, neg), (a, flipped), (point(r), a), (zero, b)]
         return pairs[:count]
 
+    @staticmethod
+    def shared_factor_pairs(curve, points, rng, count):
+        """Seeded pairs whose u's share exactly one linear factor x - x(p):
+        [p] + [q] with [p] + [r], where d = gcd(x - x(p), v1 + v2) = 1, and
+        alternately with [-p] + [r], where d = x - x(p)."""
+        point = hy.MumfordDivisor.from_point
+        pairs = []
+        while len(pairs) < count:
+            p, q, r = rng.sample(points, 3)
+            if len({p.x, q.x, r.x}) < 3:
+                continue
+            s = p if len(pairs) % 2 == 0 else hy.involution(p)
+            pairs.append((oracles.ref_cantor_add(curve, point(p), point(q)),
+                          oracles.ref_cantor_add(curve, point(s), point(r))))
+        for a, b in pairs:
+            assert poly_gcd(a.u, b.u).degree == 1
+        return pairs
+
     @pytest.mark.parametrize("spec, order", [(CURVE5_SPEC, 36), (CURVE7_SPEC, 50)])
     def test_every_pair_of_small_jacobian(self, spec, order):
         curve = hy.parse_curve(spec)
@@ -680,7 +708,7 @@ class TestCompositionOracle:
         pairs = self.structured_pairs(curve, random_points(curve, rng, 12), rng, 300)
         assert any(a.u == b.u and a.v != b.v and a.v != -b.v for a, b in pairs)
         for a, b in pairs:
-            self.assert_same(curve, a, b)
+            self.assert_same_printed(curve, a, b)
 
     def test_seeded_pairs_rational(self, rng):
         # x(x - 1)(x - 2)(x - 3)(x - 4) + 1 has the points (i, +-1), i = 0..4
@@ -692,7 +720,18 @@ class TestCompositionOracle:
         assert len(pairs) == 50
         assert any(c.denominator != 1 for m in multiples for c in m.u.coeffs + m.v.coeffs)
         for a, b in pairs:
-            self.assert_same(curve, a, b)
+            self.assert_same_printed(curve, a, b)
+
+    def test_shared_factor_pairs_large_prime(self, rng):
+        curve = hy.parse_curve("field=Fp:999983; f=7,3,0,5,1")
+        for a, b in self.shared_factor_pairs(curve, random_points(curve, rng, 12), rng, 100):
+            self.assert_same_printed(curve, a, b)
+
+    def test_shared_factor_pairs_rational(self, rng):
+        curve = hy.new_curve("Q", [1, 24, -50, 35, -10])
+        points = [curve.point(i, s) for i in range(5) for s in (1, -1)]
+        for a, b in self.shared_factor_pairs(curve, points, rng, 30):
+            self.assert_same_printed(curve, a, b)
 
     def test_scalar_mul_small_n(self, curve13, rng):
         for a in rng.sample([c.base for c in PIC13], 4):
@@ -716,6 +755,42 @@ class TestCompositionOracle:
         zero = hy.MumfordDivisor.zero(curve13)
         for a in rng.sample([c.base for c in PIC13], 20):
             assert hy.scalar_mul(curve13, a, 144 * rng.getrandbits(64)) == zero
+
+
+class TestPolyOnlyValidates:
+    """cantor_add runs on coefficient lists: its only Poly arithmetic is the
+    check u | v^2 - f as the result is built, one v*v, one subtraction and
+    one divmod, and it calls no xgcd."""
+
+    @pytest.mark.parametrize("spec", [
+        "field=Fp:13; f=1,1,0,0,0",
+        "field=Fp:999983; f=7,3,0,5,1",
+        "field=Q; f=1,24,-50,35,-10",
+    ])
+    def test_one_validation_per_result(self, spec, rng, monkeypatch):
+        curve = hy.parse_curve(spec)
+        if curve.field == QQ:
+            points = [curve.point(i, s) for i in range(5) for s in (1, -1)]
+        else:
+            points = random_points(curve, rng, 12)
+        pairs = (TestCompositionOracle.structured_pairs(curve, points, rng, 12)
+                 + TestCompositionOracle.shared_factor_pairs(curve, points, rng, 4))
+        counts = {}
+
+        def counting(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in ("__mul__", "__sub__", "__divmod__"):
+            monkeypatch.setattr(Poly, name, counting(name, getattr(Poly, name)))
+        monkeypatch.setattr(polys, "xgcd", counting("xgcd", polys.xgcd))
+        monkeypatch.setattr(hy, "xgcd", counting("xgcd", polys.xgcd), raising=False)
+        for a, b in pairs:
+            counts.update(dict.fromkeys(("__mul__", "__sub__", "__divmod__", "xgcd"), 0))
+            hy.cantor_add(curve, a, b)
+            assert counts == {"__mul__": 1, "__sub__": 1, "__divmod__": 1, "xgcd": 0}, (str(a), str(b))
 
 
 class TestEnumeration:
