@@ -12,9 +12,10 @@ rational exactly when every coordinate past the constant vanishes.
 zeta and promote are index maps (zeta^k -> x^k, x^j -> x^(j*M/N)) followed
 by one reduction, and a product is an integer convolution followed by
 one reduction.  Only inverse leaves the integers, for one extended Euclid
-over Q (polys.xgcd).  A cosecant needs no inverse: for a root of unity
-w != 1 with w^N = 1, 1/(w - 1) = (1/N) sum_{j<N} j w^j, so cyclo_csc is an
-index map and one reduction like cyclo_sin.
+over Q (polys.xgcd of Phi_N and the trimmed num).  A cosecant needs no
+inverse: for a root of unity w != 1 with w^N = 1, 1/(w - 1) = (1/N)
+sum_{j<N} j w^j, so cyclo_csc is an index map and one reduction like
+cyclo_sin.
 
 float() is a high-precision floating evaluation (mpmath, 160-bit
 mantissa, imported on first use) that serves as the independent
@@ -28,7 +29,7 @@ from math import gcd, lcm
 
 from .errors import ThetaLabError
 from .fields import QQ
-from .polys import Poly, xgcd
+from .polys import trim, xgcd
 from .value import Value
 
 ORACLE_PRECISION = 160  # bits of mantissa for the floating oracle
@@ -175,11 +176,13 @@ class Cyclo(Value):
     def inverse(self) -> Cyclo:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        g, s, _ = xgcd(Poly(QQ, self.num), Poly(QQ, _phi_ints(self.modulus)))
-        if g.degree != 0:
+        # num is zero-padded to phi(N), and xgcd reads its last entry as the
+        # lead coefficient, so it is trimmed first
+        g, _, t = xgcd(_phi_ints(self.modulus), trim(self.num, QQ), QQ)
+        if len(g) != 1:
             raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        # g is monic, so s * num = 1 mod Phi_N and den * s is the inverse
-        num, den = _ints(s.coeffs)
+        # g is monic, so t * num = 1 mod Phi_N and den * t is the inverse
+        num, den = _ints(t)
         num = _reduce(self.modulus, [c * self.den for c in num])
         return Cyclo(self.modulus, num, den)
 

@@ -10,10 +10,11 @@ unique per class, so equality, hashing, and printing are canonical.
 Cantor composition and reduction implement the group law (Cantor, Math.
 Comp. 48, 1987; Cohen-Frey et al., Handbook of Elliptic and Hyperelliptic
 Curve Cryptography, 2006, ch. 14).  They run on coefficient lists, ints
-mod p over F_p and Fractions over Q, with the list helpers the root
-finder uses; Poly appears only at the edges, in parsing, printing and
-the MumfordDivisor constructor, which checks u | v^2 - f on every result.
-Composition takes its two gcds from _xgcd only where they are not already
+mod p over F_p and Fractions over Q, with the list functions of polys,
+the one polynomial kernel, which the root finder, the curve's squarefree
+check and the MumfordDivisor constructor's check u | v^2 - f on every
+result use too.  Poly holds the pairs and f, for parsing and printing.
+Composition takes its two gcds from xgcd only where they are not already
 known: equal u's (a doubling, a + (-a), or the same u with v of mixed
 sign) have gcd(u1, u2) = u2, and coprime u's have gcd(1, v1 + v2) = 1.
 scalar_mul runs left to right over the width-4 NAF digits of |n|
@@ -28,7 +29,7 @@ coefficient lists mod p finds them: gcd(f, x^p - x), then splitting by
 gcd(g, (x + a)^((p-1)/2) - 1) (Cohen, GTM 138, sec. 1.6).  Over Q the same
 finder gives the roots mod a small prime, which are Hensel-lifted.  Each
 root is checked f(e) = 0, and the Weierstrass points and the 16 classes
-of J[2] are then built through the slots, with no Poly arithmetic.
+of J[2] are then built through the slots.
 
 Over F_p with p <= ENUMERATION_FIELD_BOUND, every reduced pair is listed
 (Cantor, Math. Comp. 48, 1987; Cassels-Flynn, LMS LN 230, ch. 3) by
@@ -52,7 +53,7 @@ from math import lcm
 
 from .errors import ThetaLabError
 from .fields import PrimeField, RationalField, field_from_spec, is_prime, parse_rational
-from .polys import Poly, gcd as poly_gcd, parse_poly
+from .polys import Poly, add, gcd, mul, parse_poly, quo_rem, scale, sub, trim, xgcd
 from .value import Value
 
 ENUMERATION_FIELD_BOUND = 37
@@ -99,8 +100,7 @@ class HyperellipticCurve(Value):
             raise EvenCharacteristic("the base field has characteristic 2")
         if self.f.degree != 5 or self.f.lc() != self.field.one:
             raise ValueError("f must be a monic quintic")
-        fprime = self.f.derivative()
-        if fprime.is_zero or poly_gcd(self.f, fprime).degree != 0:
+        if len(gcd(self.f.coeffs, self.f.derivative().coeffs, self.field)) != 1:
             raise NotSquarefree("f has a repeated root")
 
     def point(self, x, y) -> CurvePoint:
@@ -159,88 +159,6 @@ def involution(p: CurvePoint) -> CurvePoint:
     return CurvePoint(p.curve, p.x, p.curve.field(-p.y))
 
 
-# Polynomials as coefficient lists, low to high, with no trailing zeros;
-# the zero polynomial is [].  Over F_p the coefficients are ints reduced
-# mod p, over Q they are Fractions: F.characteristic is 0 over Q, so
-# nothing is reduced there, and lead coefficients are inverted by F.inv.
-# Inputs may be any sequence, such as a Poly's coefficient tuple.
-
-def _trim(coeffs, F) -> list:
-    p = F.characteristic
-    out = [c % p for c in coeffs] if p else list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _add(a, b, F) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out, F)
-
-
-def _sub(a, b, F) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out, F)
-
-
-def _mul(a, b, F) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out, F)
-
-
-def _scale(a, c, F) -> list:
-    return _trim([x * c for x in a], F)
-
-
-def _divmod(a, m, F) -> tuple[list, list]:
-    """Quotient and remainder of a by a monic m."""
-    p = F.characteristic
-    dm = len(m) - 1
-    rem = list(a)
-    quo = [0] * max(len(rem) - dm, 0)
-    for k in range(len(rem) - 1 - dm, -1, -1):
-        c = rem[k + dm] % p if p else rem[k + dm]
-        quo[k] = c
-        if c:
-            for i in range(dm):
-                rem[k + i] -= c * m[i]
-    return quo, _trim(rem[:dm], F)
-
-
-def _gcd(a, b, F) -> list:
-    """gcd of a monic a and any b, monic."""
-    while b:
-        a, b = _scale(b, F.inv(b[-1]), F), a
-        b = _divmod(b, a, F)[1]
-    return a
-
-
-def _xgcd(a, b, F) -> tuple[list, list, list]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a monic a; each
-    remainder is made monic, with its cofactors, before dividing by it, so
-    g is monic."""
-    r0, s0, t0 = a, [F.one], []
-    r1, s1, t1 = b, [], [F.one]
-    while r1:
-        inv = F.inv(r1[-1])
-        r1, s1, t1 = _scale(r1, inv, F), _scale(s1, inv, F), _scale(t1, inv, F)
-        q, r = _divmod(r0, r1, F)
-        r0, s0, t0, r1, s1, t1 = (r1, s1, t1, r, _sub(s0, _mul(q, s1, F), F),
-                                  _sub(t0, _mul(q, t1, F), F))
-    return r0, s0, t0
-
-
 def _linear_pow(a: int, n: int, m, F) -> list:
     """(x + a)^n mod a monic m of degree >= 2, n >= 1, left to right:
     square, then multiply by x + a as a shift and a scaling."""
@@ -250,9 +168,9 @@ def _linear_pow(a: int, n: int, m, F) -> list:
         for i, ci in enumerate(acc):
             for j, cj in enumerate(acc):
                 sq[i + j] += ci * cj
-        acc = _divmod(sq, m, F)[1]
+        acc = quo_rem(sq, m, F)[1]
         if bit == "1":
-            acc = _divmod([x + a * y for x, y in zip([0] + acc, acc + [0])], m, F)[1]
+            acc = quo_rem([x + a * y for x, y in zip([0] + acc, acc + [0])], m, F)[1]
     return acc
 
 
@@ -265,16 +183,16 @@ def _fp_roots(f, F: PrimeField) -> list[int]:
     any two roots when p is odd, and an a that left g whole leaves its
     factors whole, so h and g/h go on from the next a."""
     p = F.p
-    roots, todo = [], [(_gcd(f, _sub(_linear_pow(0, p, f, F), [0, 1], F), F), 0)]
+    roots, todo = [], [(gcd(f, sub(_linear_pow(0, p, f, F), [0, 1], F), F), 0)]
     while todo:
         g, start = todo.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
         elif len(g) > 2:
             for a in count(start):
-                h = _gcd(g, _sub(_linear_pow(a, (p - 1) // 2, g, F), [1], F), F)
+                h = gcd(g, sub(_linear_pow(a, (p - 1) // 2, g, F), [1], F), F)
                 if 2 <= len(h) < len(g):
-                    todo += [(h, a + 1), (_divmod(g, h, F)[0], a + 1)]
+                    todo += [(h, a + 1), (quo_rem(g, h, F)[0], a + 1)]
                     break
     return sorted(roots)
 
@@ -304,10 +222,10 @@ def _rational_roots(g: Poly) -> list[Fraction]:
         return acc
 
     ell = PrimeField(3)
-    while len(_gcd(_trim(G, ell), _trim(dG, ell), ell)) != 1:
+    while len(gcd(trim(G, ell), trim(dG, ell), ell)) != 1:
         ell = next(PrimeField(q) for q in count(ell.p + 2, 2) if is_prime(q))
     roots = []
-    for r in _fp_roots(_trim(G, ell), ell):
+    for r in _fp_roots(trim(G, ell), ell):
         y, m = r, ell.p
         while m <= 2 * bound:
             m *= m
@@ -350,7 +268,10 @@ class MumfordDivisor(Value):
             raise ValueError("reduced pairs have deg u <= 2")
         if not self.v.is_zero and self.v.degree >= self.u.degree:
             raise ValueError("deg v must be smaller than deg u")
-        if not self.u.divides(self.v * self.v - self.curve.f):
+        if self.u.field != F or self.v.field != F:
+            raise ValueError("mixed fields")  # the kernel takes F from the curve alone
+        v = self.v.coeffs
+        if quo_rem(sub(self.curve.f.coeffs, mul(v, v, F), F), self.u.coeffs, F)[1]:
             raise ValueError("u does not divide v^2 - f")
 
     @classmethod
@@ -395,15 +316,16 @@ class MumfordDivisor(Value):
 
 
 def negate(curve: HyperellipticCurve, a: MumfordDivisor) -> MumfordDivisor:
-    return MumfordDivisor(curve, a.u, -a.v)
+    return MumfordDivisor(curve, a.u, Poly(curve.field, [-c for c in a.v.coeffs]))
 
 
 def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) -> MumfordDivisor:
     """Cantor composition followed by reduction to deg u <= 2, on
-    coefficient lists; the result is validated as a Poly pair.
+    coefficient lists; the result is built through the validating
+    MumfordDivisor constructor.
 
     d1 = gcd(u1, u2) = e1*u1 + e2*u2 and d = gcd(d1, v1 + v2) = c1*d1 +
-    c2*(v1 + v2) come from _xgcd unless already known: u1 = u2 gives
+    c2*(v1 + v2) come from xgcd unless already known: u1 = u2 gives
     (d1, e1, e2) = (u2, 0, 1), and d1 = 1 gives (d, c1, c2) = (1, 1, 0).
     The terms of the numerator that a zero coefficient cancels are skipped.
     """
@@ -414,26 +336,26 @@ def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) 
     if u1 == u2:
         d1, e1, e2 = u2, [], one
     else:
-        d1, e1, e2 = _xgcd(u1, u2, F)
+        d1, e1, e2 = xgcd(u1, u2, F)
     if len(d1) == 1:
         d, c1, c2 = d1, one, []
     else:
-        d, c1, c2 = _xgcd(d1, _add(v1, v2, F), F)
+        d, c1, c2 = xgcd(d1, add(v1, v2, F), F)
     num = []
     if e1:
-        num = _mul(_mul(c1, e1, F), _mul(u1, v2, F), F)
+        num = mul(mul(c1, e1, F), mul(u1, v2, F), F)
     if e2:
-        num = _add(num, _mul(_mul(c1, e2, F), _mul(u2, v1, F), F), F)
+        num = add(num, mul(mul(c1, e2, F), mul(u2, v1, F), F), F)
     if c2:
-        num = _add(num, _mul(c2, _add(_mul(v1, v2, F), f, F), F), F)
-    u = _mul(u1, u2, F)
+        num = add(num, mul(c2, add(mul(v1, v2, F), f, F), F), F)
+    u = mul(u1, u2, F)
     if len(d) > 1:
-        u, num = _divmod(u, _mul(d, d, F), F)[0], _divmod(num, d, F)[0]
-    v = _divmod(num, u, F)[1]
+        u, num = quo_rem(u, mul(d, d, F), F)[0], quo_rem(num, d, F)[0]
+    v = quo_rem(num, u, F)[1]
     while len(u) > 3:
-        u = _divmod(_sub(f, _mul(v, v, F), F), u, F)[0]
-        u = _scale(u, F.inv(u[-1]), F)
-        v = _sub([], _divmod(v, u, F)[1], F)
+        u = quo_rem(sub(f, mul(v, v, F), F), u, F)[0]
+        u = scale(u, F.inv(u[-1]), F)
+        v = sub([], quo_rem(v, u, F)[1], F)
     return MumfordDivisor(curve, Poly(F, u), Poly(F, v))
 
 

@@ -1,9 +1,23 @@
-"""Dense univariate polynomials over an exact field.
+"""Dense univariate polynomials over an exact field: the one polynomial
+kernel, on coefficient lists, and Poly, the value that holds a polynomial.
 
-Coefficients are stored low to high with no trailing zeros, so equal
-polynomials have equal coefficient tuples; Poly is a plain Value, equal
-and hashed by (field, coeffs).  Arithmetic combines two polynomials over
-the same field and never coerces a number to a constant.
+The kernel is the module functions trim, add, sub, mul, scale, quo_rem,
+gcd and xgcd.  A polynomial is a coefficient list, low to high, with no
+trailing zeros; the zero polynomial is [].  Over F_p the coefficients are
+ints reduced mod p, over Q they are Fractions (or ints): F.characteristic
+is 0 over Q, so nothing is reduced there, and lead coefficients are
+inverted by F.inv.  Every function returns a list in that form.  Inputs
+must already be trimmed, since quo_rem, gcd and xgcd read the lead
+coefficient as the last entry: a Poly's coefficient tuple is, and a
+zero-padded vector such as Cyclo.num goes through trim first.  quo_rem
+divides only by a monic polynomial, and gcd and xgcd take a monic first
+argument and return a monic gcd.
+
+Poly is a plain Value with no arithmetic, used where a polynomial is
+parsed, printed, evaluated or stored.  Its constructor normalises each
+coefficient through the field and drops trailing zeros, so equal
+polynomials have equal coefficient tuples (in kernel form), and Poly is
+equal and hashed by (field, coeffs).
 """
 from __future__ import annotations
 
@@ -39,77 +53,14 @@ class Poly(Value):
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _coerce(self, other) -> Poly | None:
-        if not isinstance(other, Poly):
-            return None
-        if other.field != self.field:
-            raise ValueError("mixed fields")
-        return other
-
-    def __neg__(self) -> Poly:
-        return Poly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other) -> Poly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] - other[i] for i in range(n)])
-
-    def __mul__(self, other) -> Poly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly(self.field, ())
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(self.field, out)
-
-    def __divmod__(self, other) -> tuple[Poly, Poly]:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(F, ()), self
-        quo = [F.zero] * (dq + 1)
-        inv_lc = F.inv(other.lc())
-        # rem accumulates unreduced; over F_p each entry stays below (deg + 2) p^2
-        for k in range(dq, -1, -1):
-            c = F(rem[k + other.degree] * inv_lc)
-            quo[k] = c
-            if c:
-                for i, oc in enumerate(other.coeffs):
-                    rem[k + i] -= c * oc
-        return Poly(F, quo), Poly(F, rem)
-
-    def __mod__(self, other) -> Poly:
-        return divmod(self, other)[1]
-
     def __call__(self, x):
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return self.field(acc)
 
-    def monic(self) -> Poly:
-        if self.is_zero:
-            return self
-        inv_lc = self.field.inv(self.lc())
-        return Poly(self.field, [c * inv_lc for c in self.coeffs])
-
     def derivative(self) -> Poly:
         return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divides(self, other: Poly) -> bool:
-        return (other % self).is_zero
 
     def __repr__(self) -> str:
         return f"Poly({self.field!r}, {list(self.coeffs)!r})"
@@ -137,31 +88,82 @@ class Poly(Value):
         return " ".join(parts)
 
 
-def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+def trim(coeffs, F) -> list:
+    """Any coefficient sequence put in kernel form: reduced mod p over F_p,
+    with no trailing zeros."""
+    p = F.characteristic
+    out = [c % p for c in coeffs] if p else list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with g = s*a + t*b and g monic."""
-    F = a.field
-    one = Poly(F, (F.one,))
-    zero = Poly(F, ())
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    inv_lc = F.inv(r0.lc())
-    scale = Poly(F, (inv_lc,))
-    return r0.monic(), s0 * scale, t0 * scale
+def add(a, b, F) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return trim(out, F)
+
+
+def sub(a, b, F) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return trim(out, F)
+
+
+def mul(a, b, F) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out, F)
+
+
+def scale(a, c, F) -> list:
+    return trim([x * c for x in a], F)
+
+
+def quo_rem(a, m, F) -> tuple[list, list]:
+    """Quotient and remainder of a by a monic m."""
+    p = F.characteristic
+    dm = len(m) - 1
+    rem = list(a)
+    quo = [0] * max(len(rem) - dm, 0)
+    for k in range(len(rem) - 1 - dm, -1, -1):
+        c = rem[k + dm] % p if p else rem[k + dm]
+        quo[k] = c
+        if c:
+            for i in range(dm):
+                rem[k + i] -= c * m[i]
+    return quo, trim(rem[:dm], F)
+
+
+def gcd(a, b, F) -> list:
+    """gcd of a monic a and any b, monic."""
+    while b:
+        a, b = scale(b, F.inv(b[-1]), F), a
+        b = quo_rem(b, a, F)[1]
+    return a
+
+
+def xgcd(a, b, F) -> tuple[list, list, list]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a monic a; each
+    remainder is made monic, with its cofactors, before dividing by it, so
+    g is monic."""
+    r0, s0, t0 = a, [F.one], []
+    r1, s1, t1 = b, [], [F.one]
+    while r1:
+        inv = F.inv(r1[-1])
+        r1, s1, t1 = scale(r1, inv, F), scale(s1, inv, F), scale(t1, inv, F)
+        q, r = quo_rem(r0, r1, F)
+        r0, s0, t0, r1, s1, t1 = (r1, s1, t1, r, sub(s0, mul(q, s1, F), F),
+                                  sub(t0, mul(q, t1, F), F))
+    return r0, s0, t0
 
 
 _TERM = re.compile(

@@ -7,13 +7,18 @@ Two values are equal when they are of the same class with equal fields,
 equal values hash alike, assigning or deleting a field raises
 ``AttributeError``, and the repr lists the fields by name.
 
-``Poly`` and ``Cyclo`` keep direct constructors, because one is built for
-every arithmetic result.  Only ``Cyclo`` keeps its own ``__eq__``, which
-also accepts an int or a Fraction, and is unhashable, since an element has
-one form per modulus it is embedded in.  ``enumerate_pic`` and
-``curve_points`` build their objects through the slot descriptors from
-pairs already checked, and ``weierstrass_points`` and ``two_torsion``
-through ``from_checked``.
+``Poly`` and ``Cyclo`` keep direct constructors, because each puts what
+it is given in canonical form, which setting one value per field would
+not.  ``Poly`` has no arithmetic, but is built from coefficients of any
+kind (the parser's Fractions, a Cantor result's list, a curve's ints):
+it normalises each through the field and drops trailing zeros, so equal
+polynomials have equal tuples.  A ``Cyclo`` is built for every arithmetic
+result and stored in lowest terms.  Only ``Cyclo`` keeps its own
+``__eq__``, which also accepts an int or a Fraction, and is unhashable,
+since an element has one form per modulus it is embedded in.
+``enumerate_pic`` and ``curve_points`` build their objects through the
+slot descriptors from pairs already checked, and ``weierstrass_points``
+and ``two_torsion`` through ``from_checked``.
 """
 from __future__ import annotations
 

@@ -23,19 +23,95 @@ import mpmath
 
 from thetalab import hyperelliptic as hy
 from thetalab.fields import QQ, PrimeField
-from thetalab.polys import Poly, xgcd
+from thetalab.polys import Poly
 
+
+# Dense Poly arithmetic for the oracles.  The library's Poly has no
+# arithmetic, and its kernel (thetalab.polys) runs on coefficient lists and
+# divides only by monic polynomials; these functions share no code with it.
+# Each result is a Poly, normalised by its constructor.
 
 def plus(a: Poly, b: Poly) -> Poly:
-    """a + b, coefficient by coefficient: the library's Poly has no
-    addition, since its Cantor arithmetic runs on coefficient lists."""
+    """a + b, coefficient by coefficient."""
     n = max(len(a.coeffs), len(b.coeffs))
     return Poly(a.field, [a[i] + b[i] for i in range(n)])
 
 
+def minus(a: Poly, b: Poly) -> Poly:
+    """a - b, coefficient by coefficient."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Poly(a.field, [a[i] - b[i] for i in range(n)])
+
+
+def neg(a: Poly) -> Poly:
+    return Poly(a.field, [-c for c in a.coeffs])
+
+
+def times(a: Poly, b: Poly) -> Poly:
+    """a * b, schoolbook."""
+    F = a.field
+    if a.is_zero or b.is_zero:
+        return Poly(F, ())
+    out = [F.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(F, out)
+
+
+def div_mod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by any nonzero b, by long division."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    F = a.field
+    rest = list(a.coeffs)
+    dq = len(rest) - len(b.coeffs)
+    if dq < 0:
+        return Poly(F, ()), a
+    out = [F.zero] * (dq + 1)
+    inv_lc = F.inv(b.lc())
+    for k in range(dq, -1, -1):
+        c = F(rest[k + b.degree] * inv_lc)
+        out[k] = c
+        if c:
+            for i, bc in enumerate(b.coeffs):
+                rest[k + i] -= c * bc
+    return Poly(F, out), Poly(F, rest)
+
+
 def quo(a: Poly, b: Poly) -> Poly:
     """The quotient of a by b."""
-    return divmod(a, b)[0]
+    return div_mod(a, b)[0]
+
+
+def rem(a: Poly, b: Poly) -> Poly:
+    """The remainder of a by b."""
+    return div_mod(a, b)[1]
+
+
+def monic(a: Poly) -> Poly:
+    if a.is_zero:
+        return a
+    return times(a, Poly(a.field, (a.field.inv(a.lc()),)))
+
+
+def ref_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """Extended Euclid on any a and b: (g, s, t) with g = s*a + t*b and g
+    monic, dividing by each remainder as it stands."""
+    F = a.field
+    one, zero = Poly(F, (F.one,)), Poly(F, ())
+    r0, r1 = a, b
+    s0, s1 = one, zero
+    t0, t1 = zero, one
+    while not r1.is_zero:
+        q, r = div_mod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, minus(s0, times(q, s1))
+        t0, t1 = t1, minus(t0, times(q, t1))
+    if r0.is_zero:
+        return r0, s0, t0
+    scale = Poly(F, (F.inv(r0.lc()),))
+    return times(r0, scale), times(s0, scale), times(t0, scale)
 
 
 def mp_sin(k: int, m: int):
@@ -60,7 +136,7 @@ def ref_cyclotomic_polynomial(n: int) -> Poly:
 
 def _ref_mod(n: int, poly: Poly) -> tuple:
     phi_n = ref_cyclotomic_polynomial(n)
-    cs = (poly % phi_n).coeffs
+    cs = rem(poly, phi_n).coeffs
     return cs + (Fraction(0),) * (phi_n.degree - len(cs))
 
 
@@ -82,14 +158,14 @@ def ref_add(n: int, a, m: int, b) -> tuple:
 
 
 def ref_mul(n: int, a, b) -> tuple:
-    return _ref_mod(n, Poly(QQ, a) * Poly(QQ, b))
+    return _ref_mod(n, times(Poly(QQ, a), Poly(QQ, b)))
 
 
 def ref_inverse(n: int, a) -> tuple:
-    g, s, _ = xgcd(Poly(QQ, a), ref_cyclotomic_polynomial(n))
+    g, s, _ = ref_xgcd(Poly(QQ, a), ref_cyclotomic_polynomial(n))
     if g.degree != 0:
         raise ZeroDivisionError("not invertible")
-    return _ref_mod(n, s * Poly(QQ, (QQ.inv(g[0]),)))
+    return _ref_mod(n, s)
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +177,7 @@ def ref_sin(k: int, m: int) -> tuple:
     """sin(k*pi/m) in Q(zeta_N), N = lcm(2m, 4), as (e^(it) - e^(-it)) / 2i."""
     n = lcm(2 * m, 4)
     a = n // (2 * m)
-    diff = Poly(QQ, ref_zeta(n, a * k)) - Poly(QQ, ref_zeta(n, -a * k))
+    diff = minus(Poly(QQ, ref_zeta(n, a * k)), Poly(QQ, ref_zeta(n, -a * k)))
     return ref_mul(n, diff.coeffs, _ref_inverse_two_i(n))
 
 
@@ -205,8 +281,8 @@ def ref_all_reduced(p: int, f_coeffs) -> tuple:
                 found.append((((-x0) % p, 1), _trim(y)))
     for u1 in range(p):
         for u0 in range(p):
-            rem = f % Poly(F, (u0, u1, 1))
-            r1, r0 = rem[1], rem[0]
+            r = rem(f, Poly(F, (u0, u1, 1)))
+            r1, r0 = r[1], r[0]
             for v1 in range(p):
                 a = (2 * v1) % p
                 c1 = (v1 * v1 * u1) % p
@@ -269,13 +345,13 @@ def chord_add(curve, a, b):
     """
     if a.u.degree != 2 or b.u.degree != 2:
         return None
-    g, s, t = xgcd(a.u, b.u)
+    g, s, t = ref_xgcd(a.u, b.u)
     if g.degree != 0:
         return None
-    big_u = a.u * b.u
-    v = plus(a.v * t * b.u, b.v * s * a.u) % big_u
-    u3 = quo(curve.f - v * v, big_u).monic()
-    v3 = (-v) % u3
+    big_u = times(a.u, b.u)
+    v = rem(plus(times(times(a.v, t), b.u), times(times(b.v, s), a.u)), big_u)
+    u3 = monic(quo(minus(curve.f, times(v, v)), big_u))
+    v3 = rem(neg(v), u3)
     return (u3, v3)
 
 
@@ -283,15 +359,16 @@ def ref_cantor_add(curve, a, b):
     """Cantor composition in its general form: both gcds from xgcd, every
     term of the numerator, then reduction to deg u <= 2."""
     f = curve.f
-    g1, s1, t1 = xgcd(a.u, b.u)
-    g, s2, t2 = xgcd(g1, plus(a.v, b.v))
-    u3 = quo(a.u * b.u, g * g)
-    num = plus(plus(s2 * s1 * a.u * b.v, s2 * t1 * b.u * a.v), t2 * plus(a.v * b.v, f))
-    v3 = quo(num, g) % u3
+    g1, s1, t1 = ref_xgcd(a.u, b.u)
+    g, s2, t2 = ref_xgcd(g1, plus(a.v, b.v))
+    u3 = quo(times(a.u, b.u), times(g, g))
+    num = plus(plus(times(times(s2, s1), times(a.u, b.v)), times(times(s2, t1), times(b.u, a.v))),
+               times(t2, plus(times(a.v, b.v), f)))
+    v3 = rem(quo(num, g), u3)
     u, v = u3, v3
     while u.degree > 2:
-        u_next = quo(f - v * v, u).monic()
-        v_next = (-v) % u_next
+        u_next = monic(quo(minus(f, times(v, v)), u))
+        v_next = rem(neg(v), u_next)
         u, v = u_next, v_next
     return hy.MumfordDivisor(curve, u, v)
 
@@ -299,7 +376,7 @@ def ref_cantor_add(curve, a, b):
 def ref_scalar_mul(curve, a, n):
     """n*a by right-to-left binary double-and-add over ref_cantor_add."""
     if n < 0:
-        a, n = hy.MumfordDivisor(curve, a.u, -a.v), -n
+        a, n = hy.MumfordDivisor(curve, a.u, neg(a.v)), -n
     acc, base = hy.MumfordDivisor.zero(curve), a
     while n:
         if n & 1:

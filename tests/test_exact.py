@@ -258,6 +258,14 @@ class TestCycloField:
         s = cyclo_sin(1, 5)
         assert s * s.inverse() == 1
 
+    def test_inverse_of_padded_rational(self):
+        """A rational promoted to N = 148 has phi(N) - 1 = 71 zeros after its
+        constant in num, which the extended Euclid must not take for a lead
+        coefficient."""
+        x = Cyclo.from_rational(Fraction(-7, 3)).promote(148)
+        assert x.num[1:] == (0,) * 71
+        assert x.inverse().coeffs == ref_inverse(148, x.coeffs)
+
     def test_rational_round_trip(self):
         value = Fraction(7, 3)
         assert Cyclo.from_rational(value).to_rational() == value

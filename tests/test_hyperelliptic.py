@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from thetalab import hyperelliptic as hy
 from thetalab.fields import PrimeField, QQ
 from thetalab import polys
-from thetalab.polys import Poly, gcd as poly_gcd, parse_poly
+from thetalab.polys import Poly, parse_poly
 
 import oracles
 from conftest import CURVE5_SPEC, CURVE7_SPEC
@@ -198,6 +198,8 @@ class TestMumford:
             hy.MumfordDivisor(curve13, Poly(F13, (7, 1)), Poly(F13, (1, 1)))  # deg v too big
         with pytest.raises(ValueError):
             hy.MumfordDivisor(curve13, Poly(F13, (7, 1)), Poly(F13, (2,)))  # not on curve
+        with pytest.raises(ValueError, match="mixed fields"):
+            hy.MumfordDivisor(curve13, Poly(QQ, (0, 1)), Poly(QQ, ()))  # (0, 0) over Q
 
     def test_points_of_split_quadratic(self, curve13):
         d = hy.reduce_class(
@@ -536,10 +538,10 @@ class TestTwoTorsion:
 
 def _split_curve(field, roots):
     """y^2 = prod of (x - r) over the five roots."""
-    f = Poly(field, (1,))
+    f = (1,)
     for r in roots:
-        f = f * Poly(field, (-r, 1))
-    return hy.HyperellipticCurve(f)
+        f = polys.mul(f, (field(-r), 1), field)
+    return hy.HyperellipticCurve(Poly(field, f))
 
 
 class TestTwoTorsionClosedForm:
@@ -672,7 +674,7 @@ class TestCompositionOracle:
             a = oracles.ref_cantor_add(curve, point(p), point(q))
             b = oracles.ref_cantor_add(curve, point(q), point(r))
             flipped = oracles.ref_cantor_add(curve, point(p), point(hy.involution(q)))
-            neg = hy.MumfordDivisor(curve, a.u, -a.v)
+            neg = hy.MumfordDivisor(curve, a.u, oracles.neg(a.v))
             pairs += [(a, b), (a, a), (a, neg), (a, flipped), (point(r), a), (zero, b)]
         return pairs[:count]
 
@@ -691,7 +693,7 @@ class TestCompositionOracle:
             pairs.append((oracles.ref_cantor_add(curve, point(p), point(q)),
                           oracles.ref_cantor_add(curve, point(s), point(r))))
         for a, b in pairs:
-            assert poly_gcd(a.u, b.u).degree == 1
+            assert len(polys.gcd(a.u.coeffs, b.u.coeffs, curve.field)) == 2
         return pairs
 
     @pytest.mark.parametrize("spec, order", [(CURVE5_SPEC, 36), (CURVE7_SPEC, 50)])
@@ -706,7 +708,7 @@ class TestCompositionOracle:
     def test_seeded_pairs_large_prime(self, rng):
         curve = hy.parse_curve("field=Fp:999983; f=7,3,0,5,1")
         pairs = self.structured_pairs(curve, random_points(curve, rng, 12), rng, 300)
-        assert any(a.u == b.u and a.v != b.v and a.v != -b.v for a, b in pairs)
+        assert any(a.u == b.u and a.v != b.v and a.v != oracles.neg(b.v) for a, b in pairs)
         for a, b in pairs:
             self.assert_same_printed(curve, a, b)
 
@@ -758,9 +760,9 @@ class TestCompositionOracle:
 
 
 class TestPolyOnlyValidates:
-    """cantor_add runs on coefficient lists: its only Poly arithmetic is the
-    check u | v^2 - f as the result is built, one v*v, one subtraction and
-    one divmod, and it calls no xgcd."""
+    """cantor_add runs on coefficient lists and builds each result through
+    the validating MumfordDivisor constructor, which checks u | v^2 - f:
+    exactly one such call per result, none skipped through from_checked."""
 
     @pytest.mark.parametrize("spec", [
         "field=Fp:13; f=1,1,0,0,0",
@@ -775,22 +777,18 @@ class TestPolyOnlyValidates:
             points = random_points(curve, rng, 12)
         pairs = (TestCompositionOracle.structured_pairs(curve, points, rng, 12)
                  + TestCompositionOracle.shared_factor_pairs(curve, points, rng, 4))
-        counts = {}
+        validated = []
+        init = hy.MumfordDivisor.__init__
 
-        def counting(name, function):
-            def wrapper(*args):
-                counts[name] += 1
-                return function(*args)
-            return wrapper
+        def counting_init(self, *args):
+            init(self, *args)
+            validated.append(self)
 
-        for name in ("__mul__", "__sub__", "__divmod__"):
-            monkeypatch.setattr(Poly, name, counting(name, getattr(Poly, name)))
-        monkeypatch.setattr(polys, "xgcd", counting("xgcd", polys.xgcd))
-        monkeypatch.setattr(hy, "xgcd", counting("xgcd", polys.xgcd), raising=False)
+        monkeypatch.setattr(hy.MumfordDivisor, "__init__", counting_init)
         for a, b in pairs:
-            counts.update(dict.fromkeys(("__mul__", "__sub__", "__divmod__", "xgcd"), 0))
-            hy.cantor_add(curve, a, b)
-            assert counts == {"__mul__": 1, "__sub__": 1, "__divmod__": 1, "xgcd": 0}, (str(a), str(b))
+            validated.clear()
+            result = hy.cantor_add(curve, a, b)
+            assert len(validated) == 1 and validated[0] is result, (str(a), str(b))
 
 
 class TestEnumeration:

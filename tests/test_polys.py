@@ -1,4 +1,6 @@
-"""Poly arithmetic against sympy.Poly over GF(p) and QQ, on seeded random inputs."""
+"""The polynomial kernel (polys' coefficient-list functions) and Poly's
+evaluation and derivative against sympy.Poly over GF(p) and QQ, on seeded
+random inputs."""
 import random
 from fractions import Fraction
 
@@ -6,7 +8,8 @@ import pytest
 import sympy
 
 from thetalab.fields import PrimeField, QQ
-from thetalab.polys import Poly, gcd, xgcd
+from thetalab import polys
+from thetalab.polys import Poly
 
 X = sympy.Symbol("x")
 FIELDS = [PrimeField(3), PrimeField(13), PrimeField(10007), PrimeField(2**61 - 1), QQ]
@@ -47,12 +50,22 @@ def from_sympy(F, s):
     return tuple(cs)
 
 
-def same(g, s):
-    """g equals the sympy polynomial s, with every coefficient in canonical form."""
-    kind = Fraction if g.field is QQ else int
-    canonical = all(type(c) is kind for c in g.coeffs) and (
-        g.field is QQ or all(0 <= c < g.field.p for c in g.coeffs))
-    return canonical and g.coeffs == from_sympy(g.field, s)
+def canonical(F, coeffs):
+    """Kernel form: no trailing zero, and every coefficient an int in
+    0..p-1 over F_p or a Fraction over Q."""
+    kind = Fraction if F is QQ else int
+    return (not coeffs or coeffs[-1] != 0) and all(
+        type(c) is kind and (F is QQ or 0 <= c < F.p) for c in coeffs)
+
+
+def same(F, coeffs, s):
+    """coeffs is canonical and equals the sympy polynomial s."""
+    return canonical(F, coeffs) and tuple(coeffs) == from_sympy(F, s)
+
+
+def monic_of(F, g):
+    """g scaled to lead coefficient 1, by sympy, as kernel coefficients."""
+    return list(from_sympy(F, to_sympy(g).monic()))
 
 
 @pytest.fixture(params=FIELDS, ids=str)
@@ -69,33 +82,38 @@ def test_ring_operations(field, prng):
     for _ in range(CASES):
         a, b = random_poly(prng, field), random_poly(prng, field)
         sa, sb = to_sympy(a), to_sympy(b)
-        assert same(a - b, sa - sb)
-        assert same(-a, -sa)
-        assert same(a * b, sa * sb)
+        c = field(prng.randrange(1, 100))
+        assert same(field, polys.add(a.coeffs, b.coeffs, field), sa + sb)
+        assert same(field, polys.sub(a.coeffs, b.coeffs, field), sa - sb)
+        assert same(field, polys.sub([], a.coeffs, field), -sa)
+        assert same(field, polys.mul(a.coeffs, b.coeffs, field), sa * sb)
+        assert same(field, polys.scale(a.coeffs, c, field), sa * to_sympy(Poly(field, (c,))))
 
 
 def test_divmod(field, prng):
+    """quo_rem divides by a monic polynomial."""
     for _ in range(CASES):
         a, b = random_poly(prng, field, 10), nonzero_poly(prng, field, 5)
-        q, r = divmod(a, b)
-        sq, sr = to_sympy(a).div(to_sympy(b))
-        assert same(q, sq) and same(r, sr)
-        assert same(a % b, sr)
-    with pytest.raises(ZeroDivisionError):
-        divmod(nonzero_poly(prng, field), Poly(field, ()))
+        m = monic_of(field, b)
+        q, r = polys.quo_rem(a.coeffs, m, field)
+        sq, sr = to_sympy(a).div(to_sympy(b).monic())
+        assert same(field, q, sq) and same(field, r, sr)
 
 
 def test_gcd_and_xgcd(field, prng):
+    """gcd and xgcd of a monic a and any b; the gcd is monic."""
     for _ in range(CASES):
         common = nonzero_poly(prng, field, 3)
-        a = common * random_poly(prng, field, 5)
-        b = common * random_poly(prng, field, 5)
-        expected = to_sympy(a).gcd(to_sympy(b))
-        assert same(gcd(a, b), expected)
-        g, s, t = xgcd(a, b)
-        assert same(g, expected)
-        assert g.is_zero or g.lc() == field.one
-        assert s * a == g - t * b
+        a = Poly(field, polys.mul(common.coeffs, nonzero_poly(prng, field, 5).coeffs, field))
+        b = Poly(field, polys.mul(common.coeffs, random_poly(prng, field, 5).coeffs, field))
+        a = monic_of(field, a)
+        expected = to_sympy(Poly(field, a)).gcd(to_sympy(b))
+        assert same(field, polys.gcd(a, b.coeffs, field), expected)
+        g, s, t = polys.xgcd(a, b.coeffs, field)
+        assert same(field, g, expected)
+        assert g[-1] == field.one
+        assert canonical(field, s) and canonical(field, t)
+        assert polys.add(polys.mul(s, a, field), polys.mul(t, b.coeffs, field), field) == g
 
 
 def test_evaluation_derivative_and_monic(field, prng):
@@ -111,6 +129,6 @@ def test_evaluation_derivative_and_monic(field, prng):
             point = prng.randrange(field.p)
             assert g(point) == int(sg.eval(point)) % field.p
             assert 0 <= g(point) < field.p
-        assert same(g.derivative(), sg.diff(X))
+        assert same(field, g.derivative().coeffs, sg.diff(X))
         if not g.is_zero:
-            assert same(g.monic(), sg.monic())
+            assert same(field, polys.scale(g.coeffs, field.inv(g.lc()), field), sg.monic())

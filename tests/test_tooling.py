@@ -70,6 +70,34 @@ def test_fields_hold_no_arithmetic_methods():
         assert {"add", "sub", "mul", "neg", "div"} & set(vars(cls)) == set(), cls
 
 
+def test_polys_is_the_one_polynomial_kernel():
+    """Poly holds a polynomial and has no arithmetic; the coefficient-list
+    functions of polys are the only polynomial kernel in the library; and
+    the test oracles take nothing from it but Poly, so they stay an
+    independent reference."""
+    from thetalab.polys import Poly
+
+    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__neg__", "__divmod__", "__floordiv__", "__mod__", "__truediv__",
+                  "__pow__", "monic", "divides", "gcd", "xgcd"}
+    assert arithmetic & set(vars(Poly)) == set()
+    kernel = {"trim", "add", "sub", "mul", "scale", "quo_rem", "divmod", "gcd", "xgcd"}
+    helpers = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "polys.py"
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") in kernel
+    ]
+    assert helpers == []
+    imports = []
+    for node in ast.walk(ast.parse((ROOT / "tests" / "oracles.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imports += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imports += [(alias.name, None) for alias in node.names]
+    assert [i for i in imports if "polys" in str(i)] == [("thetalab.polys", "Poly")]
+
+
 def test_readme_lists_every_error_code():
     """README's error codes are the codes of every ThetaLabError subclass
     plus the two the CLI gives to ValueError and ZeroDivisionError."""
