@@ -12,10 +12,10 @@ rational exactly when every coordinate past the constant vanishes.
 zeta and promote are index maps (zeta^k -> x^k, x^j -> x^(j*M/N)) followed
 by one reduction, and a product is an integer convolution followed by
 one reduction.  Only inverse leaves the integers, for one extended Euclid
-over Q (polys.xgcd of Phi_N and the trimmed num).  A cosecant needs no
-inverse: for a root of unity w != 1 with w^N = 1, 1/(w - 1) = (1/N)
-sum_{j<N} j w^j, so cyclo_csc is an index map and one reduction like
-cyclo_sin.
+over Q (polys.xgcd of Phi_N and the trimmed num), which carries only the
+cofactor of num.  A cosecant needs no inverse: for a root of unity
+w != 1 with w^N = 1, 1/(w - 1) = (1/N) sum_{j<N} j w^j, so cyclo_csc is
+an index map and one reduction like cyclo_sin.
 
 float() is a high-precision floating evaluation (mpmath, 160-bit
 mantissa, imported on first use) that serves as the independent
@@ -178,10 +178,10 @@ class Cyclo(Value):
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         # num is zero-padded to phi(N), and xgcd reads its last entry as the
         # lead coefficient, so it is trimmed first
-        g, _, t = xgcd(_phi_ints(self.modulus), trim(self.num, QQ), QQ)
+        g, t = xgcd(_phi_ints(self.modulus), trim(self.num, QQ), QQ)
         if len(g) != 1:
             raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        # g is monic, so t * num = 1 mod Phi_N and den * t is the inverse
+        # xgcd gives t * num = g = 1 mod Phi_N, so den * t is the inverse
         num, den = _ints(t)
         num = _reduce(self.modulus, [c * self.den for c in num])
         return Cyclo(self.modulus, num, den)

@@ -17,6 +17,9 @@ result use too.  Poly holds the pairs and f, for parsing and printing.
 Composition takes its two gcds from xgcd only where they are not already
 known: equal u's (a doubling, a + (-a), or the same u with v of mixed
 sign) have gcd(u1, u2) = u2, and coprime u's have gcd(1, v1 + v2) = 1.
+Each xgcd gives one Bezout cofactor, and the numerator is written so that
+it needs no other: a doubling uses only the cofactor of v1 + v2, and a
+coprime addition only that of u2.
 scalar_mul runs left to right over the width-4 NAF digits of |n|
 (Handbook, sec. 9.1), or over its binary digits when those cost fewer
 Cantor additions.  Riemann-Roch dimensions and translate intersections
@@ -324,30 +327,45 @@ def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor, b: MumfordDivisor) 
     coefficient lists; the result is built through the validating
     MumfordDivisor constructor.
 
-    d1 = gcd(u1, u2) = e1*u1 + e2*u2 and d = gcd(d1, v1 + v2) = c1*d1 +
-    c2*(v1 + v2) come from xgcd unless already known: u1 = u2 gives
-    (d1, e1, e2) = (u2, 0, 1), and d1 = 1 gives (d, c1, c2) = (1, 1, 0).
-    The terms of the numerator that a zero coefficient cancels are skipped.
+    With d1 = gcd(u1, u2) = e1*u1 + e2*u2 and d = gcd(d1, v1 + v2) =
+    c1*d1 + c2*(v1 + v2), the composed numerator
+    c1*e1*u1*v2 + c1*e2*u2*v1 + c2*(v1*v2 + f) is
+
+        num = d*v2 + c2*(f - v2^2) + c1*e2*u2*(v1 - v2),
+
+    so each gcd needs one cofactor: (d1, e2) = xgcd(u1, u2) and
+    (d, c2) = xgcd(d1, v1 + v2).  Equal u's skip the first xgcd, and
+    d1 = 1 the second (d = 1, c2 = 0).  When d1 = u2 (equal u's, or u2
+    dividing u1), e2 = 1 and c1*u2 = d - c2*(v1 + v2), so num = d*v1 +
+    c2*(f - v1^2).  Otherwise c1 = 1 when d1 = 1, and when the u's share
+    a proper factor c1 = (d - c2*(v1 + v2)) / d1 by exact division.
     """
     F = curve.field
     f = curve.f.coeffs
     u1, v1, u2, v2 = a.u.coeffs, a.v.coeffs, b.u.coeffs, b.v.coeffs
-    one = [F.one]
     if u1 == u2:
-        d1, e1, e2 = u2, [], one
+        d1, e2 = u2, [F.one]
     else:
-        d1, e1, e2 = xgcd(u1, u2, F)
+        d1, e2 = xgcd(u1, u2, F)
     if len(d1) == 1:
-        d, c1, c2 = d1, one, []
+        d, c2 = d1, []
     else:
-        d, c1, c2 = xgcd(d1, add(v1, v2, F), F)
-    num = []
-    if e1:
-        num = mul(mul(c1, e1, F), mul(u1, v2, F), F)
-    if e2:
-        num = add(num, mul(mul(c1, e2, F), mul(u2, v1, F), F), F)
+        v_sum = add(v1, v2, F)
+        d, c2 = xgcd(d1, v_sum, F)
+    # d1 divides u2 and both are monic, so they are equal when their
+    # lengths are
+    w = v1 if len(d1) == len(u2) else v2
+    num = w if len(d) == 1 else mul(d, w, F)
     if c2:
-        num = add(num, mul(c2, add(mul(v1, v2, F), f, F), F), F)
+        num = add(num, mul(c2, sub(f, mul(w, w, F), F), F), F)
+    if e2 and len(d1) < len(u2):
+        term = mul(e2, mul(u2, sub(v1, v2, F), F), F)
+        if len(d1) > 1:
+            c1, rest = quo_rem(sub(d, mul(c2, v_sum, F), F), d1, F)
+            if rest:
+                raise InvariantViolated("d - c2*(v1 + v2) is not a multiple of gcd(u1, u2)")
+            term = mul(c1, term, F)
+        num = add(num, term, F)
     u = mul(u1, u2, F)
     if len(d) > 1:
         u, num = quo_rem(u, mul(d, d, F), F)[0], quo_rem(num, d, F)[0]
@@ -472,11 +490,6 @@ def reduce_class(curve: HyperellipticCurve, points) -> PicClass:
         piece = scalar_mul(curve, MumfordDivisor.from_point(point), mult)
         total = piece if total is None else cantor_add(curve, total, piece)
     return PicClass(MumfordDivisor.zero(curve) if total is None else total, degree)
-
-
-def canonical_class(curve: HyperellipticCurve) -> PicClass:
-    """K = 2*[infinity] for the quintic model."""
-    return PicClass(MumfordDivisor.zero(curve), 2)
 
 
 def h0(curve: HyperellipticCurve, d: PicClass) -> int:

@@ -79,7 +79,10 @@ def _six_points(common_trace, marked_trace) -> tuple[FixedPointDatum, ...]:
     return tuple(points)
 
 
-_EXT_RANK2 = BundleSymbol(2, -1)  # either extension of O(w) by O(-w)
+# E_e and E_f: rank 2, degree -1.  The degree is the one the report rows
+# "sym2 split" (h1 = 6, split (1, 5)) and "hom(O(-w),E_e) split" (h1 = 2,
+# split (1, 1)) need; degree 0 would give h1 = 3 and h1 = 1.
+_EXT_RANK2 = BundleSymbol(2, -1)
 _LINE_MINUS_W = BundleSymbol(1, -1)  # O(-w)
 
 

@@ -11,7 +11,8 @@ must already be trimmed, since quo_rem, gcd and xgcd read the lead
 coefficient as the last entry: a Poly's coefficient tuple is, and a
 zero-padded vector such as Cyclo.num goes through trim first.  quo_rem
 divides only by a monic polynomial, and gcd and xgcd take a monic first
-argument and return a monic gcd.
+argument and return a monic gcd; xgcd(a, b) returns (g, t) with
+t*b = g mod a, the one Bezout cofactor its callers use.
 
 Poly is a plain Value with no arithmetic, used where a polynomial is
 parsed, printed, evaluated or stored.  Its constructor normalises each
@@ -151,19 +152,18 @@ def gcd(a, b, F) -> list:
     return a
 
 
-def xgcd(a, b, F) -> tuple[list, list, list]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a monic a; each
-    remainder is made monic, with its cofactors, before dividing by it, so
-    g is monic."""
-    r0, s0, t0 = a, [F.one], []
-    r1, s1, t1 = b, [], [F.one]
+def xgcd(a, b, F) -> tuple[list, list]:
+    """(g, t) with g = gcd(a, b), monic, and t*b = g mod a, for a monic a:
+    Euclid's remainders and the cofactors of b alone, not those of a.
+    Each remainder is made monic, with its cofactor, before dividing by it."""
+    r0, t0 = a, []
+    r1, t1 = b, [F.one]
     while r1:
         inv = F.inv(r1[-1])
-        r1, s1, t1 = scale(r1, inv, F), scale(s1, inv, F), scale(t1, inv, F)
+        r1, t1 = scale(r1, inv, F), scale(t1, inv, F)
         q, r = quo_rem(r0, r1, F)
-        r0, s0, t0, r1, s1, t1 = (r1, s1, t1, r, sub(s0, mul(q, s1, F), F),
-                                  sub(t0, mul(q, t1, F), F))
-    return r0, s0, t0
+        r0, t0, r1, t1 = r1, t1, r, sub(t0, mul(q, t1, F), F)
+    return r0, t0
 
 
 _TERM = re.compile(

@@ -14,6 +14,11 @@ CURVE7_SPEC = "field=Fp:7; f=1,0,0,0,0"
 CURVEQ_COEFFS = [0, 24, -50, 35, -10]  # x(x-1)(x-2)(x-3)(x-4)
 
 
+def canonical_class(curve):
+    """K = 2*[infinity] for the quintic model."""
+    return hy.PicClass(hy.MumfordDivisor.zero(curve), 2)
+
+
 @pytest.fixture(scope="session")
 def curve13():
     return hy.parse_curve(CURVE13_SPEC)

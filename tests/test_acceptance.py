@@ -13,6 +13,7 @@ from thetalab import bundles, cli, hilbert, lefschetz, report, verlinde
 from thetalab import hyperelliptic as hy
 
 import oracles
+from conftest import canonical_class
 
 CURVE13 = hy.parse_curve("field=Fp:13; f=0,-1,0,0,0")
 PIC13 = hy.enumerate_pic(CURVE13, 0)
@@ -107,7 +108,7 @@ def test_c05_jacobian_group_law():
 
 
 def test_c06_riemann_roch_suite():
-    K = hy.canonical_class(CURVE13)
+    K = canonical_class(CURVE13)
     for degree in range(5):
         for d in hy.enumerate_pic(CURVE13, degree):
             assert hy.h0(CURVE13, d) - hy.h0(CURVE13, K - d) == degree - 1
@@ -121,7 +122,7 @@ def test_c06_riemann_roch_suite():
 def test_c07_theta_translate_intersection():
     rng = random.Random(20260825)
     deg1 = hy.enumerate_pic(CURVE13, 1)
-    K = hy.canonical_class(CURVE13)
+    K = canonical_class(CURVE13)
     candidates = [M for M in PIC13 if 2 * M != ZERO13]
     for M in rng.sample(candidates, 20):
         pair = hy.theta_translate_intersection(CURVE13, M)
@@ -172,7 +173,7 @@ def test_c09_bookkeeping_chain():
 
 
 def test_c10_pencil_trick_chain():
-    K = hy.canonical_class(CURVE13)
+    K = canonical_class(CURVE13)
     x = hy.point_class(CURVE13.point(2, 2))
     assert hy.h0(CURVE13, K + x) == 2
     assert hy.h0(CURVE13, 2 * K + x) == 4

@@ -11,7 +11,7 @@ from thetalab import polys
 from thetalab.polys import Poly, parse_poly
 
 import oracles
-from conftest import CURVE5_SPEC, CURVE7_SPEC
+from conftest import CURVE5_SPEC, CURVE7_SPEC, canonical_class
 
 F13 = PrimeField(13)
 CURVE13 = hy.parse_curve("field=Fp:13; f=0,-1,0,0,0")
@@ -291,7 +291,7 @@ class TestReduceClass:
     def test_fibre_is_canonical(self, curve13):
         p = curve13.point(2, 2)
         cls = hy.reduce_class(curve13, [(p, 1), (hy.involution(p), 1)])
-        assert cls == hy.canonical_class(curve13)
+        assert cls == canonical_class(curve13)
 
     def test_idempotent_through_base(self, curve13):
         cls = hy.reduce_class(curve13, [(curve13.point(2, 2), 1), (curve13.point(6, 10), 1)])
@@ -318,20 +318,20 @@ class TestReduceClass:
 
 class TestRiemannRoch:
     def test_full_sweep_degrees_0_to_4(self, curve13):
-        K = hy.canonical_class(curve13)
+        K = canonical_class(curve13)
         for degree in range(5):
             for d in hy.enumerate_pic(curve13, degree):
                 assert hy.h0(curve13, d) - hy.h0(curve13, K - d) == degree - 1
 
     def test_h0_canonical(self, curve13, curveq):
         for curve in (curve13, curveq):
-            K = hy.canonical_class(curve)
+            K = canonical_class(curve)
             assert hy.h0(curve, K) == 2
             assert hy.h0(curve, 3 * K) == 5
 
     def test_h0_canonical_plus_weierstrass(self, curve13):
         for w in hy.weierstrass_points(curve13):
-            cls = hy.canonical_class(curve13) + hy.point_class(w)
+            cls = canonical_class(curve13) + hy.point_class(w)
             assert hy.h0(curve13, cls) == 2
 
     def test_effective_degree_one_count_is_point_count(self, curve13):
@@ -350,7 +350,7 @@ class TestRiemannRoch:
         assert len(non_effective) == 144 - 14
 
     def test_negative_degree(self, curve13):
-        assert hy.h0(curve13, -hy.canonical_class(curve13)) == 0
+        assert hy.h0(curve13, -canonical_class(curve13)) == 0
 
     def test_degree_zero(self, curve13):
         assert hy.h0(curve13, pic_zero(curve13)) == 1
@@ -358,7 +358,7 @@ class TestRiemannRoch:
         assert hy.h0(curve13, nontrivial) == 0
 
     def test_pencil_trick_dimension_chain(self, curve13):
-        K = hy.canonical_class(curve13)
+        K = canonical_class(curve13)
         x = hy.point_class(curve13.point(2, 2))
         h_kx = hy.h0(curve13, K + x)
         h_2kx = hy.h0(curve13, 2 * K + x)
@@ -371,22 +371,22 @@ class TestRiemannRoch:
 
 class TestSerre:
     def test_involutive(self, curve13):
-        K = hy.canonical_class(curve13)
+        K = canonical_class(curve13)
         for L in hy.enumerate_pic(curve13, 1)[:20]:
             assert K - (K - L) == L
 
     def test_point_maps_to_conjugate(self, curve13):
         p = curve13.point(6, 3)
-        assert hy.canonical_class(curve13) - hy.point_class(p) == hy.point_class(
+        assert canonical_class(curve13) - hy.point_class(p) == hy.point_class(
             hy.involution(p))
 
     def test_sum_with_image_is_canonical(self, curve13):
-        K = hy.canonical_class(curve13)
+        K = canonical_class(curve13)
         for L in hy.enumerate_pic(curve13, 1)[:20]:
             assert L + (K - L) == K
 
     def test_fixed_classes_are_the_16_theta_characteristics(self, curve13):
-        K = hy.canonical_class(curve13)
+        K = canonical_class(curve13)
         fixed = [L for L in hy.enumerate_pic(curve13, 1) if K - L == L]
         assert len(fixed) == 16
 
@@ -403,20 +403,20 @@ class TestKm2:
 
     def test_wrong_degree(self, curve13):
         with pytest.raises(hy.WrongDegree):
-            hy.km2_points(curve13, hy.canonical_class(curve13))
+            hy.km2_points(curve13, canonical_class(curve13))
 
     def test_pair_lies_in_k_plus_2m(self, curve13, rng):
         candidates = [M for M in PIC13 if 2 * M != ZERO13]
         for M in rng.sample(candidates, 20):
             q1, q2 = hy.km2_points(curve13, M)
-            target = hy.canonical_class(curve13) + 2 * M
+            target = canonical_class(curve13) + 2 * M
             assert hy.reduce_class(curve13, [(q1, 1), (q2, 1)]) == target
 
     def test_pair_matches_exhaustive_search(self, curve13, rng):
         points = hy.curve_points(curve13)
         candidates = [M for M in PIC13 if 2 * M != ZERO13]
         for M in rng.sample(candidates, 12):
-            target = hy.canonical_class(curve13) + 2 * M
+            target = canonical_class(curve13) + 2 * M
             found = [
                 (points[i], points[j])
                 for i in range(len(points))
@@ -435,7 +435,7 @@ class TestKm2:
 
 class TestThetaTranslate:
     def test_matches_enumeration_20_random(self, curve13, rng):
-        K = hy.canonical_class(curve13)
+        K = canonical_class(curve13)
         deg1 = hy.enumerate_pic(curve13, 1)
         candidates = [M for M in PIC13 if 2 * M != ZERO13]
         for M in rng.sample(candidates, 20):
@@ -449,7 +449,7 @@ class TestThetaTranslate:
     def test_swapped_by_serre(self, curve13, curve7, rng):
         for curve in (curve13, curve7):
             zero = pic_zero(curve)
-            K = hy.canonical_class(curve)
+            K = canonical_class(curve)
             candidates = [
                 M for M in hy.enumerate_pic(curve, 0) if 2 * M != zero
             ]
@@ -465,11 +465,11 @@ class TestThetaTranslate:
         M = hy.parse_class(curve7, "u=x^2; v=1; d=0")
         first, second = hy.theta_translate_intersection(curve7, M)
         assert first != second
-        assert hy.canonical_class(curve7) - first == second
+        assert canonical_class(curve7) - first == second
 
     def test_membership_symmetry(self, curve13, rng):
         # L satisfies both membership conditions iff K - L does
-        K = hy.canonical_class(curve13)
+        K = canonical_class(curve13)
         deg1 = hy.enumerate_pic(curve13, 1)
         candidates = [M for M in PIC13 if 2 * M != ZERO13]
         for M in rng.sample(candidates, 5):
@@ -580,7 +580,7 @@ class TestInvariantViolated:
 
     @staticmethod
     def reduce_to_canonical(curve, points):
-        return hy.canonical_class(curve)
+        return canonical_class(curve)
 
     def test_km2_pair_not_in_k_plus_2m(self, curve13, monkeypatch):
         M = hy.parse_class(curve13, "u=x + 2; v=3; d=0")
@@ -595,6 +595,35 @@ class TestInvariantViolated:
         monkeypatch.setattr(hy, "weierstrass_points", lambda curve: repeated)
         with pytest.raises(hy.InvariantViolated):
             hy.two_torsion(curve13)
+
+
+    @pytest.mark.parametrize("route", ["equal", "coprime", "shared"])
+    def test_wrong_cofactor_never_returns_a_pair(self, route, rng, monkeypatch):
+        """An xgcd that returns t + 1 as its cofactor makes each route of
+        cantor_add raise, through the exact division for c1 or the
+        validating constructor, instead of returning a pair."""
+        curve = hy.parse_curve("field=Fp:999983; f=7,3,0,5,1")
+        F = curve.field
+        points = random_points(curve, rng, 12)
+        point = hy.MumfordDivisor.from_point
+        a = hy.cantor_add(curve, point(points[0]), point(points[1]))
+        if route == "equal":
+            pairs = [(a, a)]
+        elif route == "coprime":
+            pairs = [(a, hy.cantor_add(curve, point(points[2]), point(points[3])))]
+            assert len(polys.gcd(a.u.coeffs, pairs[0][1].u.coeffs, F)) == 1
+        else:
+            pairs = TestCompositionOracle.shared_factor_pairs(curve, points, rng, 2)
+        xgcd = polys.xgcd
+
+        def wrong_xgcd(r, s, F):
+            g, t = xgcd(r, s, F)
+            return g, polys.add(t, [F.one], F)
+
+        monkeypatch.setattr(hy, "xgcd", wrong_xgcd)
+        for a, b in pairs:
+            with pytest.raises((ValueError, hy.InvariantViolated)):
+                hy.cantor_add(curve, a, b)
 
 
 class TestCantorCount:

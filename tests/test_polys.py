@@ -11,6 +11,8 @@ from thetalab.fields import PrimeField, QQ
 from thetalab import polys
 from thetalab.polys import Poly
 
+import oracles
+
 X = sympy.Symbol("x")
 FIELDS = [PrimeField(3), PrimeField(13), PrimeField(10007), PrimeField(2**61 - 1), QQ]
 CASES = 40
@@ -101,7 +103,8 @@ def test_divmod(field, prng):
 
 
 def test_gcd_and_xgcd(field, prng):
-    """gcd and xgcd of a monic a and any b; the gcd is monic."""
+    """gcd and xgcd of a monic a and any b; the gcd is monic, and xgcd's
+    cofactor t, with t*b = g mod a, is extended Euclid's cofactor of b."""
     for _ in range(CASES):
         common = nonzero_poly(prng, field, 3)
         a = Poly(field, polys.mul(common.coeffs, nonzero_poly(prng, field, 5).coeffs, field))
@@ -109,11 +112,12 @@ def test_gcd_and_xgcd(field, prng):
         a = monic_of(field, a)
         expected = to_sympy(Poly(field, a)).gcd(to_sympy(b))
         assert same(field, polys.gcd(a, b.coeffs, field), expected)
-        g, s, t = polys.xgcd(a, b.coeffs, field)
+        g, t = polys.xgcd(a, b.coeffs, field)
         assert same(field, g, expected)
         assert g[-1] == field.one
-        assert canonical(field, s) and canonical(field, t)
-        assert polys.add(polys.mul(s, a, field), polys.mul(t, b.coeffs, field), field) == g
+        assert canonical(field, t)
+        assert t == list(oracles.ref_xgcd(Poly(field, a), b)[2].coeffs)
+        assert polys.quo_rem(polys.sub(g, polys.mul(t, b.coeffs, field), field), a, field)[1] == []
 
 
 def test_evaluation_derivative_and_monic(field, prng):

@@ -119,8 +119,6 @@ def test_readme_lists_every_error_code():
 
 # Names that stay in the library although no program path reaches them.
 UNREFERENCED_ALLOWED = {
-    "canonical_class": "K = 2*infinity, the canonical class the Riemann-Roch "
-                       "and Serre duality checks name",
     "evaluate": "HilbertFit.evaluate: acceptance test C02 evaluates the fit, and "
                 "the Verlinde numbers at every level (ROADMAP item 1) give it a program caller",
     "zeta": "Cyclo.zeta is the constructor for a root of unity; the tracer names it in a string",
