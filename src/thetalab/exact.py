@@ -4,18 +4,22 @@ Cyclo represents an element of Q(zeta_N) as num / den: num is a tuple of
 phi(N) ints, the coordinates in the power basis 1, zeta, ...,
 zeta^(phi(N)-1), and den > 0 is one common denominator with
 gcd(num..., den) = 1.  The N-th cyclotomic polynomial Phi_N is monic with
-integer coefficients, so reducing modulo it is an integer long division.
+integer coefficients: x^N - 1 divided exactly (polys.quo_rem) by Phi_d
+for each proper divisor d of N.  So reducing modulo it is an integer long
+division, which _reduce runs on Phi_N's sparse tail, cached per N.
 Because the power basis is a Q-basis and (num, den) is normalised, equal
 elements of one field have identical (num, den), and an element is
 rational exactly when every coordinate past the constant vanishes.
 
-zeta and promote are index maps (zeta^k -> x^k, x^j -> x^(j*M/N)) followed
-by one reduction, and a product is an integer convolution followed by
-one reduction.  Only inverse leaves the integers, for one extended Euclid
-over Q (polys.xgcd of Phi_N and the trimmed num), which carries only the
-cofactor of num.  A cosecant needs no inverse: for a root of unity
-w != 1 with w^N = 1, 1/(w - 1) = (1/N) sum_{j<N} j w^j, so cyclo_csc is
-an index map and one reduction like cyclo_sin.
+Sums of powers of zeta (_from_terms) and promote are index maps
+(zeta^k -> x^k, x^j -> x^(j*M/N)) followed by one reduction, and a
+product is a sparse integer convolution followed by one reduction.  Only
+inverse leaves the integers, for one extended Euclid over Q (polys.xgcd
+of Phi_N and the trimmed num), which carries only the cofactor t of num;
+deg t < phi(N), so den * t is the inverse with no further reduction.  A
+cosecant needs no inverse: for a root of unity w != 1 with w^N = 1,
+1/(w - 1) = (1/N) sum_{j<N} j w^j, so cyclo_csc is an index map and one
+reduction like cyclo_sin.
 
 float() is a high-precision floating evaluation (mpmath, 160-bit
 mantissa, imported on first use) that serves as the independent
@@ -29,7 +33,7 @@ from math import gcd, lcm
 
 from .errors import ThetaLabError
 from .fields import QQ
-from .polys import trim, xgcd
+from .polys import horner, quo_rem, trim, xgcd
 from .value import Value
 
 ORACLE_PRECISION = 160  # bits of mantissa for the floating oracle
@@ -49,15 +53,7 @@ def _phi_ints(n: int) -> tuple[int, ...]:
     c = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            divisor = _phi_ints(d)
-            deg = len(divisor) - 1
-            quo = [0] * (len(c) - deg)
-            for k in range(len(quo) - 1, -1, -1):
-                t = quo[k] = c[k + deg]
-                if t:
-                    for i, p in enumerate(divisor):
-                        c[k + i] -= t * p
-            c = quo
+            c = quo_rem(c, _phi_ints(d), QQ)[0]
     return tuple(c)
 
 
@@ -130,11 +126,6 @@ class Cyclo(Value):
         value = Fraction(value)
         return cls(1, (value.numerator,), value.denominator)
 
-    @classmethod
-    def zeta(cls, modulus: int, power: int = 1) -> Cyclo:
-        """zeta_N^power as a canonical element."""
-        return cls._from_terms(modulus, ((power, 1),))
-
     def promote(self, modulus: int) -> Cyclo:
         """Embed into Q(zeta_M) for a multiple M of the current modulus."""
         if modulus == self.modulus:
@@ -181,10 +172,10 @@ class Cyclo(Value):
         g, t = xgcd(_phi_ints(self.modulus), trim(self.num, QQ), QQ)
         if len(g) != 1:
             raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        # xgcd gives t * num = g = 1 mod Phi_N, so den * t is the inverse
+        # xgcd gives t * num = g = 1 mod Phi_N with deg t < phi(N), so
+        # den * t is the inverse, already reduced
         num, den = _ints(t)
-        num = _reduce(self.modulus, [c * self.den for c in num])
-        return Cyclo(self.modulus, num, den)
+        return Cyclo(self.modulus, [c * self.den for c in num], den)
 
     @property
     def is_zero(self) -> bool:
@@ -206,10 +197,7 @@ class Cyclo(Value):
 
         with mpmath.workprec(ORACLE_PRECISION):
             z = mpmath.exp(2j * mpmath.pi / self.modulus)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
-        return float(acc.real)
+            return float((horner(self.num, z) / self.den).real)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (int, Fraction, Cyclo)):

@@ -122,13 +122,15 @@ class PrimeField:
         self.characteristic = p
 
     def __call__(self, value) -> int:
+        """value mod p for an int (bool included) or a Fraction; a float or
+        any other type is refused, since int() would truncate it."""
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p")
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return int(value) % self.p
+        raise TypeError(f"cannot map {type(value).__name__} {value!r} into {self!r}")
 
     @property
     def zero(self) -> int:

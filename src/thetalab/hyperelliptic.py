@@ -29,10 +29,11 @@ classes have v = 0 and u a product of at most two factors x - e of f.
 
 The roots e of f are the Weierstrass points.  Over F_p one root finder on
 coefficient lists mod p finds them: gcd(f, x^p - x), then splitting by
-gcd(g, (x + a)^((p-1)/2) - 1) (Cohen, GTM 138, sec. 1.6).  Over Q the same
-finder gives the roots mod a small prime, which are Hensel-lifted.  Each
-root is checked f(e) = 0, and the Weierstrass points and the 16 classes
-of J[2] are then built through the slots.
+gcd(g, (x + a)^((p-1)/2) - 1) (Cohen, GTM 138, sec. 1.6), with both powers
+taken by polys.powmod.  Over Q the same finder gives the roots mod a small
+prime, which are Hensel-lifted by Newton's iteration on polys.horner and
+polys.derivative.  Each root is checked f(e) = 0, and the Weierstrass
+points and the 16 classes of J[2] are then built through the slots.
 
 Over F_p with p <= ENUMERATION_FIELD_BOUND, every reduced pair is listed
 (Cantor, Math. Comp. 48, 1987; Cassels-Flynn, LMS LN 230, ch. 3) by
@@ -56,7 +57,8 @@ from math import lcm
 
 from .errors import ThetaLabError
 from .fields import PrimeField, RationalField, field_from_spec, is_prime, parse_rational
-from .polys import Poly, add, gcd, mul, parse_poly, quo_rem, scale, sub, trim, xgcd
+from .polys import (Poly, add, derivative, gcd, horner, mul, parse_poly, powmod, quo_rem, scale,
+                    sub, trim, xgcd)
 from .value import Value
 
 ENUMERATION_FIELD_BOUND = 37
@@ -103,7 +105,7 @@ class HyperellipticCurve(Value):
             raise EvenCharacteristic("the base field has characteristic 2")
         if self.f.degree != 5 or self.f.lc() != self.field.one:
             raise ValueError("f must be a monic quintic")
-        if len(gcd(self.f.coeffs, self.f.derivative().coeffs, self.field)) != 1:
+        if len(gcd(self.f.coeffs, derivative(self.f.coeffs, self.field), self.field)) != 1:
             raise NotSquarefree("f has a repeated root")
 
     def point(self, x, y) -> CurvePoint:
@@ -162,21 +164,6 @@ def involution(p: CurvePoint) -> CurvePoint:
     return CurvePoint(p.curve, p.x, p.curve.field(-p.y))
 
 
-def _linear_pow(a: int, n: int, m, F) -> list:
-    """(x + a)^n mod a monic m of degree >= 2, n >= 1, left to right:
-    square, then multiply by x + a as a shift and a scaling."""
-    acc = [F(a), F.one]
-    for bit in bin(n)[3:]:
-        sq = [0] * (2 * len(acc) - 1)
-        for i, ci in enumerate(acc):
-            for j, cj in enumerate(acc):
-                sq[i + j] += ci * cj
-        acc = quo_rem(sq, m, F)[1]
-        if bit == "1":
-            acc = quo_rem([x + a * y for x, y in zip([0] + acc, acc + [0])], m, F)[1]
-    return acc
-
-
 def _fp_roots(f, F: PrimeField) -> list[int]:
     """The distinct roots in F_p of a monic f of degree >= 2, ascending
     (Cohen, GTM 138, sec. 1.6).  g = gcd(f, x^p - x), with x^p mod f by
@@ -186,14 +173,14 @@ def _fp_roots(f, F: PrimeField) -> list[int]:
     any two roots when p is odd, and an a that left g whole leaves its
     factors whole, so h and g/h go on from the next a."""
     p = F.p
-    roots, todo = [], [(gcd(f, sub(_linear_pow(0, p, f, F), [0, 1], F), F), 0)]
+    roots, todo = [], [(gcd(f, sub(powmod([0, 1], p, f, F), [0, 1], F), F), 0)]
     while todo:
         g, start = todo.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
         elif len(g) > 2:
             for a in count(start):
-                h = gcd(g, sub(_linear_pow(a, (p - 1) // 2, g, F), [1], F), F)
+                h = gcd(g, sub(powmod([a, 1], (p - 1) // 2, g, F), [1], F), F)
                 if 2 <= len(h) < len(g):
                     todo += [(h, a + 1), (quo_rem(g, h, F)[0], a + 1)]
                     break
@@ -215,14 +202,8 @@ def _rational_roots(g: Poly) -> list[Fraction]:
     denom = lcm(*[c.denominator for c in g.coeffs])
     G = [c.numerator * (denom // c.denominator) * denom ** (n - 1 - i)
          for i, c in enumerate(g.coeffs[:n])] + [1]
-    dG = [i * c for i, c in enumerate(G)][1:]
+    dG = derivative(G, g.field)
     bound = 1 + max(abs(c) for c in G[:n])
-
-    def value(coeffs, y):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * y + c
-        return acc
 
     ell = PrimeField(3)
     while len(gcd(trim(G, ell), trim(dG, ell), ell)) != 1:
@@ -232,10 +213,10 @@ def _rational_roots(g: Poly) -> list[Fraction]:
         y, m = r, ell.p
         while m <= 2 * bound:
             m *= m
-            y = (y - value(G, y) * pow(value(dG, y), -1, m)) % m
+            y = (y - horner(G, y) * pow(horner(dG, y), -1, m)) % m
         if y > m // 2:
             y -= m
-        if value(G, y) == 0:
+        if horner(G, y) == 0:
             roots.append(Fraction(y, denom))
     return roots
 

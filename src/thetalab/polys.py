@@ -2,23 +2,26 @@
 kernel, on coefficient lists, and Poly, the value that holds a polynomial.
 
 The kernel is the module functions trim, add, sub, mul, scale, quo_rem,
-gcd and xgcd.  A polynomial is a coefficient list, low to high, with no
-trailing zeros; the zero polynomial is [].  Over F_p the coefficients are
-ints reduced mod p, over Q they are Fractions (or ints): F.characteristic
-is 0 over Q, so nothing is reduced there, and lead coefficients are
-inverted by F.inv.  Every function returns a list in that form.  Inputs
-must already be trimmed, since quo_rem, gcd and xgcd read the lead
-coefficient as the last entry: a Poly's coefficient tuple is, and a
-zero-padded vector such as Cyclo.num goes through trim first.  quo_rem
-divides only by a monic polynomial, and gcd and xgcd take a monic first
-argument and return a monic gcd; xgcd(a, b) returns (g, t) with
-t*b = g mod a, the one Bezout cofactor its callers use.
+powmod, gcd, xgcd, derivative and horner.  A polynomial is a coefficient
+list, low to high, with no trailing zeros; the zero polynomial is [].
+Over F_p the coefficients are ints reduced mod p, over Q they are
+Fractions (or ints): F.characteristic is 0 over Q, so nothing is reduced
+there, and lead coefficients are inverted by F.inv.  Every function but
+horner returns a list in that form.  Inputs must already be trimmed,
+since quo_rem, gcd and xgcd read the lead coefficient as the last entry:
+a Poly's coefficient tuple is, and a zero-padded vector such as Cyclo.num
+goes through trim first.  quo_rem and powmod divide only by a monic
+polynomial, and gcd and xgcd take a monic first argument and return a
+monic gcd; xgcd(a, b) returns (g, t) with t*b = g mod a, the one Bezout
+cofactor its callers use.  horner(a, x) is the value a(x) at any x that
+combines with the coefficients by + and * (an int, a Fraction, an mpmath
+number), and it reduces nothing: the caller normalises it.
 
 Poly is a plain Value with no arithmetic, used where a polynomial is
-parsed, printed, evaluated or stored.  Its constructor normalises each
-coefficient through the field and drops trailing zeros, so equal
-polynomials have equal coefficient tuples (in kernel form), and Poly is
-equal and hashed by (field, coeffs).
+parsed, printed, evaluated (by horner) or stored.  Its constructor
+normalises each coefficient through the field and drops trailing zeros,
+so equal polynomials have equal coefficient tuples (in kernel form), and
+Poly is equal and hashed by (field, coeffs).
 """
 from __future__ import annotations
 
@@ -55,13 +58,7 @@ class Poly(Value):
         return self.coeffs[-1]
 
     def __call__(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return self.field(acc)
-
-    def derivative(self) -> Poly:
-        return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return self.field(horner(self.coeffs, x))
 
     def __repr__(self) -> str:
         return f"Poly({self.field!r}, {list(self.coeffs)!r})"
@@ -144,6 +141,17 @@ def quo_rem(a, m, F) -> tuple[list, list]:
     return quo, trim(rem[:dm], F)
 
 
+def powmod(a, n, m, F) -> list:
+    """a^n mod a monic m, for n >= 0, by square and multiply from the top bit."""
+    a = quo_rem(a, m, F)[1]
+    acc = a if n else quo_rem([F.one], m, F)[1]
+    for bit in bin(n)[3:]:
+        acc = quo_rem(mul(acc, acc, F), m, F)[1]
+        if bit == "1":
+            acc = quo_rem(mul(acc, a, F), m, F)[1]
+    return acc
+
+
 def gcd(a, b, F) -> list:
     """gcd of a monic a and any b, monic."""
     while b:
@@ -164,6 +172,18 @@ def xgcd(a, b, F) -> tuple[list, list]:
         q, r = quo_rem(r0, r1, F)
         r0, t0, r1, t1 = r1, t1, r, sub(t0, mul(q, t1, F), F)
     return r0, t0
+
+
+def derivative(a, F) -> list:
+    return trim([i * c for i, c in enumerate(a)][1:], F)
+
+
+def horner(a, x):
+    """a(x) = sum of a[i] * x^i, unreduced."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 _TERM = re.compile(

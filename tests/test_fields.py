@@ -1,4 +1,5 @@
-"""Primality, rational parsing and prime-field square roots against independent oracles."""
+"""Primality, rational parsing, field conversion and prime-field square roots
+against independent oracles."""
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 from sympy import isprime
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from thetalab.fields import PrimeField, is_prime, parse_rational
+from thetalab.fields import QQ, PrimeField, is_prime, parse_rational
+from thetalab.hyperelliptic import new_curve
 
 
 def smallest_roots(p):
@@ -50,6 +52,25 @@ class TestParseRational:
 
     def test_exponent_at_the_limit_accepted(self):
         assert parse_rational("1e4300") == 10**4300
+
+
+class TestFieldCall:
+    def test_prime_field_maps_ints_and_fractions(self):
+        F = PrimeField(13)
+        assert [F(-1), F(True), F(Fraction(3, 2))] == [12, 1, 8]
+
+    @pytest.mark.parametrize("value", [1.5, 0.9999, 1.0, "1"])
+    def test_prime_field_refuses_floats_and_other_types(self, value):
+        with pytest.raises(TypeError):
+            PrimeField(13)(value)
+
+    def test_float_lead_coefficient_is_not_truncated_to_monic(self):
+        with pytest.raises(TypeError):
+            new_curve(PrimeField(13), [0, -1, 0, 0, 0, 1.2])
+
+    def test_rationals_convert_floats_exactly(self):
+        assert QQ(1.5) == Fraction(3, 2)
+        assert QQ(0.1) == Fraction(3602879701896397, 36028797018963968)
 
 
 class TestPrimeFieldSqrt:

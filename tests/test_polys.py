@@ -1,11 +1,12 @@
 """The polynomial kernel (polys' coefficient-list functions) and Poly's
-evaluation and derivative against sympy.Poly over GF(p) and QQ, on seeded
-random inputs."""
+evaluation against sympy over GF(p) and QQ, on seeded random inputs."""
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod
 
 from thetalab.fields import PrimeField, QQ
 from thetalab import polys
@@ -120,6 +121,38 @@ def test_gcd_and_xgcd(field, prng):
         assert polys.quo_rem(polys.sub(g, polys.mul(t, b.coeffs, field), field), a, field)[1] == []
 
 
+def test_powmod(field, prng):
+    """a^n mod a monic m: against gf_pow_mod over F_p, n = 0 and n = p
+    included, and against sympy.rem(a**n, m) over Q for n <= 30."""
+    for case in range(CASES):
+        a = random_poly(prng, field)
+        m = monic_of(field, nonzero_poly(prng, field, 5))
+        if field is QQ:
+            n = (0, 30)[case] if case < 2 else prng.randrange(31)
+            expected = sympy.rem(to_sympy(a) ** n, to_sympy(Poly(field, m)))
+            assert same(field, polys.powmod(a.coeffs, n, m, field), expected)
+        else:
+            n = (0, field.p)[case] if case < 2 else prng.randrange(2 * field.p + 100)
+            expected = gf_pow_mod(list(reversed(a.coeffs)), n, m[::-1], field.p, ZZ)
+            got = polys.powmod(a.coeffs, n, m, field)
+            assert canonical(field, got) and got == [int(c) for c in reversed(expected)]
+
+
+def test_horner_is_unreduced(field, prng):
+    """horner(a, x) is the exact value: over F_p the integer value of the
+    int coefficients at an int x outside 0..p-1, against sympy over ZZ."""
+    for _ in range(CASES):
+        g = random_poly(prng, field, 9)
+        if field is QQ:
+            point = Fraction(prng.randint(-9, 9), prng.randint(1, 5))
+            value = to_sympy(g).eval(sympy.Rational(point.numerator, point.denominator))
+            assert polys.horner(g.coeffs, point) == Fraction(int(value.p), int(value.q))
+        else:
+            point = prng.randrange(-field.p, 2 * field.p)
+            value = sympy.Poly(list(reversed(g.coeffs)) or [0], X, domain="ZZ").eval(point)
+            assert polys.horner(g.coeffs, point) == int(value)
+
+
 def test_evaluation_derivative_and_monic(field, prng):
     for _ in range(CASES):
         g = random_poly(prng, field, 9)
@@ -133,6 +166,6 @@ def test_evaluation_derivative_and_monic(field, prng):
             point = prng.randrange(field.p)
             assert g(point) == int(sg.eval(point)) % field.p
             assert 0 <= g(point) < field.p
-        assert same(field, g.derivative().coeffs, sg.diff(X))
+        assert same(field, polys.derivative(g.coeffs, field), sg.diff(X))
         if not g.is_zero:
             assert same(field, polys.scale(g.coeffs, field.inv(g.lc()), field), sg.monic())

@@ -79,9 +79,10 @@ def test_polys_is_the_one_polynomial_kernel():
 
     arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                   "__neg__", "__divmod__", "__floordiv__", "__mod__", "__truediv__",
-                  "__pow__", "monic", "divides", "gcd", "xgcd"}
+                  "__pow__", "monic", "divides", "gcd", "xgcd", "derivative"}
     assert arithmetic & set(vars(Poly)) == set()
-    kernel = {"trim", "add", "sub", "mul", "scale", "quo_rem", "divmod", "gcd", "xgcd"}
+    kernel = {"trim", "add", "sub", "mul", "scale", "quo_rem", "divmod", "powmod", "gcd", "xgcd",
+              "derivative", "horner"}
     helpers = [
         f"{path.name}:{node.name}"
         for path in sorted(SRC.glob("*.py")) if path.name != "polys.py"
@@ -96,6 +97,49 @@ def test_polys_is_the_one_polynomial_kernel():
         elif isinstance(node, ast.Import):
             imports += [(alias.name, None) for alias in node.names]
     assert [i for i in imports if "polys" in str(i)] == [("thetalab.polys", "Poly")]
+
+
+# Functions outside polys that keep their own coefficient loop, with the
+# reason the kernel does not serve them.
+COEFFICIENT_LOOPS_ALLOWED = {
+    "exact._reduce": "keeps Phi_N's sparse tail cached per N: on a cyclo_sin input polys.quo_rem "
+                     "took 22-39 us against 9-15 us at N = 148 and 156 (BENCH_kernel_finish.json)",
+    "exact.Cyclo.__mul__": "skips the zero coefficients of both factors: through polys.mul a "
+                           "product of two sines took 125-129 against 17-19 us at N = 148 "
+                           "(BENCH_kernel_finish.json)",
+}
+
+
+def coefficient_loops(tree, name):
+    """Qualified names of the functions in tree that do X[...] += a * b or
+    X[...] -= a * b inside two nested for loops: a private polynomial
+    product or long division."""
+    found = set()
+
+    def visit(node, name, loops):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}", 0)
+                continue
+            if (loops >= 2 and isinstance(child, ast.AugAssign)
+                    and isinstance(child.target, ast.Subscript)
+                    and isinstance(child.op, (ast.Add, ast.Sub))
+                    and isinstance(child.value, ast.BinOp) and isinstance(child.value.op, ast.Mult)):
+                found.add(name)
+            visit(child, name, loops + isinstance(child, ast.For))
+
+    visit(tree, name, 0)
+    return found
+
+
+def test_no_private_coefficient_loops():
+    """Polynomial products and long divisions outside polys are the kernel's
+    functions, except the measured carve-outs in COEFFICIENT_LOOPS_ALLOWED."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "polys.py":
+            found |= coefficient_loops(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert sorted(found) == sorted(COEFFICIENT_LOOPS_ALLOWED)
 
 
 def test_readme_lists_every_error_code():
@@ -120,8 +164,7 @@ def test_readme_lists_every_error_code():
 # Names that stay in the library although no program path reaches them.
 UNREFERENCED_ALLOWED = {
     "evaluate": "HilbertFit.evaluate: acceptance test C02 evaluates the fit, and "
-                "the Verlinde numbers at every level (ROADMAP item 1) give it a program caller",
-    "zeta": "Cyclo.zeta is the constructor for a root of unity; the tracer names it in a string",
+                "the Verlinde numbers at every level (ROADMAP item 4) give it a program caller",
 }
 
 

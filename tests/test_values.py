@@ -145,7 +145,8 @@ def test_pickle_round_trip():
 @pytest.mark.parametrize("make", [
     lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]),
     lambda: cyclo_sin(1, 5) + Cyclo(3, (1, 8), 2),
-    *(lambda n=n: Cyclo.zeta(n, 3) * Fraction(3, 5) + Fraction(-1, 2) for n in (1, 4, 20, 148)),
+    *(lambda n=n: Cyclo._from_terms(n, ((3, 1),)) * Fraction(3, 5) + Fraction(-1, 2)
+      for n in (1, 4, 20, 148)),
     lambda: hy.parse_curve(CURVE7),
     lambda: hy.new_curve("Q", [0, 24, -50, 35, -10]),
     lambda: hy.MumfordDivisor.from_point(_point()),
