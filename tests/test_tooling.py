@@ -110,10 +110,10 @@ COEFFICIENT_LOOPS_ALLOWED = {
 }
 
 
-def coefficient_loops(tree, name):
-    """Qualified names of the functions in tree that do X[...] += a * b or
-    X[...] -= a * b inside two nested for loops: a private polynomial
-    product or long division."""
+def coefficient_loops(tree, module):
+    """Qualified names of the functions in module's tree that do
+    X[...] += a * b or X[...] -= a * b inside two nested for loops: a
+    private polynomial product or long division."""
     found = set()
 
     def visit(node, name, loops):
@@ -128,7 +128,7 @@ def coefficient_loops(tree, name):
                 found.add(name)
             visit(child, name, loops + isinstance(child, ast.For))
 
-    visit(tree, name, 0)
+    visit(tree, module, 0)
     return found
 
 
