@@ -50,16 +50,8 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-_SCENARIOS = {
-    "sym2": lefschetz.sym2_scenario,
-    "sym2-rejected": lefschetz.sym2_rejected_scenario,
-    "hom-ee": lefschetz.hom_ee_scenario,
-    "hom-ow": lefschetz.hom_ow_scenario,
-}
-
-
 def _cmd_lefschetz(args) -> int:
-    scenario = _SCENARIOS[args.scenario]()
+    scenario = lefschetz.scenarios()[args.scenario]()
     print(f"L = {lefschetz.lefschetz_number(scenario)}")
     print(f"h0 split = ({scenario.h0_plus}, {scenario.h0_total - scenario.h0_plus})")
     plus, minus = lefschetz.split_eigendims(scenario)
@@ -133,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_lef = sub.add_parser("lefschetz", help="fixed-point scenario splitting")
-    p_lef.add_argument("--scenario", choices=sorted(_SCENARIOS), required=True)
+    p_lef.add_argument("--scenario", choices=sorted(lefschetz.scenarios()), required=True)
     p_lef.set_defaults(func=_cmd_lefschetz)
 
     p_jac = sub.add_parser("jac", help="Jacobian arithmetic on a curve")

@@ -4,25 +4,28 @@ fixed points on a curve, and the eigenspace splitting it determines.
 For an involution gamma with local model z -> -z at each fixed point p,
 det(I - d gamma_p) = 2 and the fixed-point formula reads
 
-    (h0_+ - h0_-) - (h1_+ - h1_-) = sum_p trace_p / det_p.
+    (h0_+ - h0_-) - (h1_+ - h1_-) = sum_p trace_p / 2,
 
+so a scenario is its table of fibre traces, one per fixed point.
 Together with h1_+ + h1_- = h1 this pins the eigenspace dimensions of H1
 once the invariant part of H0 is known; a solution that is negative,
 fractional, or too large is reported as Infeasible, which is itself
 meaningful output (it rejects a wrong trace table).
 
-The pinned scenarios below describe two rank-2 bundles E_e, E_f attached
-to a marked Weierstrass point w on a genus-2 hyperelliptic curve.  The
-lifted involution acts on the fibre of either bundle by diag(1, -1) over
-the five fixed points other than w and by a scalar over w, and on the
-fibre of O(-w) by -1 away from w and +1 at w.  Traces of the derived
-bundles follow by multilinear algebra: sym2 of diag(a, b) has trace
-a^2 + ab + b^2, and a Hom of +-1-diagonal actions has trace equal to the
-product of the two traces.
+The pinned scenarios, named in the one table that `scenarios` returns,
+describe two rank-2 bundles E_e, E_f attached to a marked Weierstrass
+point w on a genus-2 hyperelliptic curve.  The lifted involution acts on
+the fibre of either bundle by diag(1, -1) over the five fixed points
+other than w and by a scalar over w, and on the fibre of O(-w) by -1
+away from w and +1 at w.  Traces of the derived bundles follow by
+multilinear algebra: sym2 of diag(a, b) has trace a^2 + ab + b^2, and a
+Hom of +-1-diagonal actions has trace equal to the product of the two
+traces.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .bundles import BundleSymbol, chi
 from .errors import ThetaLabError
@@ -33,21 +36,11 @@ class Infeasible(ThetaLabError):
     """No nonnegative integer eigenspace split exists."""
 
 
-class FixedPointDatum(Value):
-    __slots__ = ("trace", "jacobian_det")
-
-    def __init__(self, trace: Fraction, jacobian_det: Fraction = Fraction(2)) -> None:
-        super().__init__(Fraction(trace), Fraction(jacobian_det))
-        if self.jacobian_det == 0:
-            raise ValueError("jacobian determinant must be nonzero")
-
-
 class LefschetzScenario(Value):
-    __slots__ = ("fixed_points", "h0_total", "h1_total", "h0_plus")
+    __slots__ = ("traces", "h0_total", "h1_total", "h0_plus")
 
-    def __init__(self, fixed_points: tuple[FixedPointDatum, ...], h0_total: int,
-                 h1_total: int, h0_plus: int) -> None:
-        super().__init__(tuple(fixed_points), h0_total, h1_total, h0_plus)
+    def __init__(self, traces, h0_total: int, h1_total: int, h0_plus: int) -> None:
+        super().__init__(tuple(map(Fraction, traces)), h0_total, h1_total, h0_plus)
         if min(self.h0_total, self.h1_total, self.h0_plus, 0) < 0:
             raise ValueError("cohomology dimensions must be nonnegative")
         if self.h0_plus > self.h0_total:
@@ -55,7 +48,7 @@ class LefschetzScenario(Value):
 
 
 def lefschetz_number(s: LefschetzScenario) -> Fraction:
-    return sum((p.trace / p.jacobian_det for p in s.fixed_points), Fraction(0))
+    return sum(s.traces, Fraction(0)) / 2
 
 
 def split_eigendims(s: LefschetzScenario) -> tuple[int, int]:
@@ -73,48 +66,36 @@ def split_eigendims(s: LefschetzScenario) -> tuple[int, int]:
     return (h1_plus, s.h1_total - h1_plus)
 
 
-def _six_points(common_trace, marked_trace) -> tuple[FixedPointDatum, ...]:
-    points = [FixedPointDatum(Fraction(common_trace)) for _ in range(5)]
-    points.append(FixedPointDatum(Fraction(marked_trace)))
-    return tuple(points)
-
-
 # E_e and E_f: rank 2, degree -1.  The degree is the one the report rows
 # "sym2 split" (h1 = 6, split (1, 5)) and "hom(O(-w),E_e) split" (h1 = 2,
 # split (1, 1)) need; degree 0 would give h1 = 3 and h1 = 1.
 _EXT_RANK2 = BundleSymbol(2, -1)
 _LINE_MINUS_W = BundleSymbol(1, -1)  # O(-w)
 
+# The two candidate trace tables for sym2 of a lifted extension bundle:
+# diag(1, -1) fibres contribute trace 1 and scalar fibres trace 3, and the
+# scalar slot sits either at the marked point (listed last, as in every
+# table here) or at the other five.
+SYM2_TABLES = ((1, 1, 1, 1, 1, 3), (3, 3, 3, 3, 3, 1))
 
-def sym2_possibilities() -> tuple[LefschetzScenario, LefschetzScenario]:
-    """The two candidate trace tables for sym2 of a lifted extension
-    bundle: diag(1, -1) fibres contribute trace 1 and scalar fibres
-    trace 3, and the scalar slot sits either at the marked point or at
-    the other five.  Feasibility of the split selects the true table."""
+
+def select_sym2() -> tuple[LefschetzScenario, LefschetzScenario]:
+    """(feasible, rejected): the sym2 table that admits a split and the one
+    that does not.  Infeasible unless exactly one of them splits."""
     h1 = -chi(_EXT_RANK2.sym2())
-    first = LefschetzScenario(_six_points(1, 3), h0_total=0, h1_total=h1, h0_plus=0)
-    second = LefschetzScenario(_six_points(3, 1), h0_total=0, h1_total=h1, h0_plus=0)
-    return first, second
-
-
-def sym2_scenario() -> LefschetzScenario:
-    """The feasible sym2 trace table (five fibres of trace 1, one of 3)."""
-    for candidate in sym2_possibilities():
+    feasible, rejected = [], []
+    for traces in SYM2_TABLES:
+        table = LefschetzScenario(traces, 0, h1, 0)
         try:
-            split_eigendims(candidate)
+            split_eigendims(table)
         except Infeasible:
-            continue
-        return candidate
-    raise Infeasible("neither sym2 trace table admits a split")
-
-
-def sym2_rejected_scenario() -> LefschetzScenario:
-    """The infeasible sym2 table; splitting it raises Infeasible."""
-    feasible = sym2_scenario()
-    for candidate in sym2_possibilities():
-        if candidate != feasible:
-            return candidate
-    raise AssertionError("unreachable")
+            rejected.append(table)
+        else:
+            feasible.append(table)
+    if len(feasible) != 1:
+        raise Infeasible(f"{len(feasible)} of {len(SYM2_TABLES)} sym2 trace tables "
+                         "admit a split, not 1")
+    return feasible[0], rejected[0]
 
 
 def hom_ee_scenario() -> LefschetzScenario:
@@ -122,7 +103,7 @@ def hom_ee_scenario() -> LefschetzScenario:
     traces 0*0 = 0 away from the marked point and 2*2 = 4 at it; no
     global maps between distinct stable bundles of equal slope."""
     h1 = -chi(_EXT_RANK2.hom(_EXT_RANK2))
-    return LefschetzScenario(_six_points(0, 4), h0_total=0, h1_total=h1, h0_plus=0)
+    return LefschetzScenario((0, 0, 0, 0, 0, 4), h0_total=0, h1_total=h1, h0_plus=0)
 
 
 def hom_ow_scenario() -> LefschetzScenario:
@@ -130,4 +111,16 @@ def hom_ow_scenario() -> LefschetzScenario:
     point and (+1)*2 = 2 at it; the one global section is equivariant."""
     h0 = 1
     h1 = h0 - chi(_LINE_MINUS_W.hom(_EXT_RANK2))
-    return LefschetzScenario(_six_points(0, 2), h0_total=h0, h1_total=h1, h0_plus=1)
+    return LefschetzScenario((0, 0, 0, 0, 0, 2), h0_total=h0, h1_total=h1, h0_plus=1)
+
+
+def scenarios() -> dict:
+    """The pinned scenarios by name, as thunks; the two sym2 entries share
+    one selection, made at most once per table unless it fails."""
+    sym2 = cache(select_sym2)
+    return {
+        "sym2": lambda: sym2()[0],
+        "sym2-rejected": lambda: sym2()[1],
+        "hom-ee": hom_ee_scenario,
+        "hom-ow": hom_ow_scenario,
+    }

@@ -191,7 +191,7 @@ _TERM = re.compile(
 )
 
 
-def parse_poly(text: str, field, max_degree: int | None = None) -> Poly:
+def parse_poly(text: str, field, max_degree: int) -> Poly:
     """Parse the canonical printed form, e.g. 'x^2 - 3*x + 5/2'.  A term of
     degree above max_degree is rejected before the dense list is built."""
     compact = text.replace(" ", "")
@@ -212,7 +212,7 @@ def parse_poly(text: str, field, max_degree: int | None = None) -> Poly:
             exp = 0
         else:
             exp = int(m.group("exp")) if m.group("exp") else 1
-        if max_degree is not None and exp > max_degree:
+        if exp > max_degree:
             raise ValueError(f"term {raw!r} has degree above {max_degree}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
     size = max(coeffs) + 1

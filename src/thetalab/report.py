@@ -62,6 +62,7 @@ def _computations():
     fit = cache(lambda: hilbert.fit_hilbert(*values()))
     eigen = cache(lambda: verlinde.theta_eigendims(2, 2))
     raynaud = cache(bundles.raynaud_invariants)
+    scenarios = lefschetz.scenarios()
     return [
         ("p(0)", "verlinde.hilbert_values",
          lambda: values()[0]),
@@ -81,13 +82,13 @@ def _computations():
         ("h0(4Theta)-", "verlinde.theta_eigendims",
          lambda: eigen()[1]),
         ("sym2 split", "lefschetz.split_eigendims",
-         lambda: lefschetz.split_eigendims(lefschetz.sym2_scenario())),
+         lambda: lefschetz.split_eigendims(scenarios["sym2"]())),
         ("sym2 rejected", "lefschetz.split_eigendims",
-         lambda: lefschetz.split_eigendims(lefschetz.sym2_rejected_scenario())),
+         lambda: lefschetz.split_eigendims(scenarios["sym2-rejected"]())),
         ("hom(E_f,E_e) split", "lefschetz.split_eigendims",
-         lambda: lefschetz.split_eigendims(lefschetz.hom_ee_scenario())),
+         lambda: lefschetz.split_eigendims(scenarios["hom-ee"]())),
         ("hom(O(-w),E_e) split", "lefschetz.split_eigendims",
-         lambda: lefschetz.split_eigendims(lefschetz.hom_ow_scenario())),
+         lambda: lefschetz.split_eigendims(scenarios["hom-ow"]())),
         ("moduli dim (2,2)", "bundles.moduli_dim",
          lambda: bundles.moduli_dim(2, 2)),
         ("mukai rank", "bundles.raynaud_invariants",

@@ -44,9 +44,10 @@ def test_c02_basepoint_count():
 
 
 def test_c03_lefschetz_splittings():
-    assert lefschetz.split_eigendims(lefschetz.sym2_scenario()) == (1, 5)
+    chosen, rejected = lefschetz.select_sym2()
+    assert lefschetz.split_eigendims(chosen) == (1, 5)
     with pytest.raises(lefschetz.Infeasible):
-        lefschetz.split_eigendims(lefschetz.sym2_rejected_scenario())
+        lefschetz.split_eigendims(rejected)
     assert lefschetz.split_eigendims(lefschetz.hom_ee_scenario()) == (1, 3)
     assert lefschetz.split_eigendims(lefschetz.hom_ow_scenario()) == (1, 1)
 
@@ -61,7 +62,7 @@ def test_c03_lefschetz_splittings():
         h0_plus = rng.randint(0, h0_total)
         h1_total = rng.randint(0, 8)
         scenario = lefschetz.LefschetzScenario(
-            tuple(lefschetz.FixedPointDatum(t, d) for t, d in points),
+            tuple(2 * t / d for t, d in points),
             h0_total=h0_total, h1_total=h1_total, h0_plus=h0_plus)
         number = sum((t / d for t, d in points), Fraction(0))
         twice = h1_total + (2 * h0_plus - h0_total) - number

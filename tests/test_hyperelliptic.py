@@ -39,7 +39,7 @@ def random_points(curve, rng, count):
 
 class TestCurveValidation:
     def test_x5_minus_x_is_valid(self, curve13):
-        assert curve13.f == parse_poly("x^5 + 12*x", F13)
+        assert curve13.f == parse_poly("x^5 + 12*x", F13, max_degree=5)
         assert curve13.f.coeffs == (0, 12, 0, 0, 0, 1)
 
     def test_cubed_factor_rejected(self):

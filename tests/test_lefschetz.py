@@ -1,26 +1,21 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetalab import cli, lefschetz, report
 from thetalab.bundles import BundleSymbol, chi
 from thetalab.lefschetz import (
-    FixedPointDatum,
     Infeasible,
     LefschetzScenario,
     hom_ee_scenario,
     hom_ow_scenario,
     lefschetz_number,
+    select_sym2,
     split_eigendims,
-    sym2_possibilities,
-    sym2_rejected_scenario,
-    sym2_scenario,
 )
 
 
 def scenario(traces, h0=0, h1=6, h0_plus=0):
-    points = tuple(FixedPointDatum(Fraction(t)) for t in traces)
-    return LefschetzScenario(points, h0, h1, h0_plus)
+    return LefschetzScenario(traces, h0, h1, h0_plus)
 
 
 class TestLefschetzNumber:
@@ -39,8 +34,8 @@ class TestLefschetzNumber:
         assert lefschetz_number(negated) == -lefschetz_number(s)
 
     def test_fractional_determinants(self):
-        datum = FixedPointDatum(Fraction(1), Fraction(1, 2))
-        s = LefschetzScenario((datum,), 0, 0, 0)
+        """Each trace is divided by det = 2: a lone trace 4 counts 2."""
+        s = LefschetzScenario((4,), 0, 0, 0)
         assert lefschetz_number(s) == 2
 
 
@@ -71,26 +66,43 @@ class TestSplit:
 
 class TestScenarios:
     def test_sym2_scenario_split(self):
-        assert split_eigendims(sym2_scenario()) == (1, 5)
+        assert split_eigendims(select_sym2()[0]) == (1, 5)
 
     def test_sym2_h1_from_riemann_roch(self):
         sym2 = BundleSymbol(2, -1).sym2()
         assert sym2 == BundleSymbol(3, -3)
-        assert sym2_scenario().h1_total == -chi(sym2) == 6
+        assert select_sym2()[0].h1_total == -chi(sym2) == 6
 
     def test_sym2_rejected_raises(self):
         with pytest.raises(Infeasible):
-            split_eigendims(sym2_rejected_scenario())
+            split_eigendims(select_sym2()[1])
 
     def test_sym2_tables_are_the_two_candidates(self):
-        tables = {
-            tuple(p.trace for p in c.fixed_points) for c in sym2_possibilities()
-        }
+        tables = {c.traces for c in select_sym2()}
         assert tables == {(1, 1, 1, 1, 1, 3), (3, 3, 3, 3, 3, 1)}
 
     def test_rejected_is_the_other_candidate(self):
-        assert sym2_rejected_scenario() != sym2_scenario()
-        assert sym2_rejected_scenario() in sym2_possibilities()
+        feasible, rejected = select_sym2()
+        assert feasible.traces == (1, 1, 1, 1, 1, 3)
+        assert rejected.traces == (3, 3, 3, 3, 3, 1)
+
+    def test_one_table_names_every_scenario(self):
+        table = lefschetz.scenarios()
+        assert sorted(table) == ["hom-ee", "hom-ow", "sym2", "sym2-rejected"]
+        assert (table["sym2"](), table["sym2-rejected"]()) == select_sym2()
+        assert table["hom-ee"]() == hom_ee_scenario()
+        assert table["hom-ow"]() == hom_ow_scenario()
+
+    def test_report_selects_sym2_once(self, monkeypatch):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return select_sym2()
+
+        monkeypatch.setattr(lefschetz, "select_sym2", counted)
+        report.build_report()
+        assert len(calls) == 1
 
     def test_hom_ee(self):
         s = hom_ee_scenario()
@@ -107,10 +119,6 @@ class TestScenarios:
 
 
 class TestValidation:
-    def test_zero_determinant_rejected(self):
-        with pytest.raises(ValueError):
-            FixedPointDatum(Fraction(1), Fraction(0))
-
     def test_h0_plus_bounded(self):
         with pytest.raises(ValueError):
             LefschetzScenario((), 1, 0, 2)
@@ -152,7 +160,45 @@ class TestFeasibilityParity:
     @given(s=scenarios())
     def test_trace_negation_linearity(self, s):
         flipped = LefschetzScenario(
-            tuple(FixedPointDatum(-p.trace, p.jacobian_det) for p in s.fixed_points),
+            tuple(-t for t in s.traces),
             s.h0_total, s.h1_total, s.h0_plus,
         )
         assert lefschetz_number(flipped) == -lefschetz_number(s)
+
+
+# Patched sym2 tables under which none or both of the candidates split.
+UNSELECTABLE_SYM2 = {
+    "none-split": ((3, 3, 3, 3, 3, 1), (1, 1, 1, 1, 1, 1)),
+    "both-split": ((1, 1, 1, 1, 1, 3), (0, 0, 0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("tables", UNSELECTABLE_SYM2.values(), ids=UNSELECTABLE_SYM2)
+class TestSym2SelectionFails:
+    """A selection that does not find exactly one splitting sym2 table is
+    Infeasible, and only the sym2 outputs show it."""
+
+    def test_selection_raises(self, monkeypatch, tables):
+        monkeypatch.setattr(lefschetz, "SYM2_TABLES", tables)
+        with pytest.raises(Infeasible):
+            select_sym2()
+
+    def test_cli_reports_infeasible(self, monkeypatch, capsys, tables):
+        monkeypatch.setattr(lefschetz, "SYM2_TABLES", tables)
+        assert cli.main(["lefschetz", "--scenario", "sym2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: INFEASIBLE: ")
+        assert err.count("\n") == 1
+
+    def test_report_flips_only_the_sym2_rows(self, monkeypatch, tables):
+        before = report.build_report()
+        monkeypatch.setattr(lefschetz, "SYM2_TABLES", tables)
+        after = report.build_report()
+        changed = [a.label for a, b in zip(after, before) if a != b]
+        assert changed == ["sym2 split"]
+        sym2 = {r.label: r.computed for r in after if r.label.startswith("sym2")}
+        assert sym2 == {"sym2 split": "Infeasible", "sym2 rejected": "Infeasible"}
+        others = [r for r in after if not r.label.startswith("sym2")]
+        assert len(others) == 19
+        assert all(r.status == "match" for r in others)

@@ -169,3 +169,12 @@ def test_evaluation_derivative_and_monic(field, prng):
         assert same(field, polys.derivative(g.coeffs, field), sg.diff(X))
         if not g.is_zero:
             assert same(field, polys.scale(g.coeffs, field.inv(g.lc()), field), sg.monic())
+
+
+def test_parse_poly_rejects_a_term_above_the_bound():
+    """The bound is checked per term, before the dense list is built: at
+    x^100000000 that list would hold 10^8 + 1 coefficients."""
+    F = PrimeField(13)
+    assert polys.parse_poly("x^2 - 3*x + 5", F, max_degree=2) == Poly(F, [5, -3, 1])
+    with pytest.raises(ValueError, match="degree above 2"):
+        polys.parse_poly("x^100000000", F, max_degree=2)

@@ -205,6 +205,72 @@ def test_every_library_name_has_a_program_reference():
     assert sorted(unreferenced) == sorted(UNREFERENCED_ALLOWED), unreferenced
 
 
+def defaulted_parameters(tree):
+    """(call name, position, parameter) for each parameter with a default in
+    the module's tree.  The call name of an __init__ is its class's name;
+    the position counts the arguments a call writes (self and cls are not
+    written), and is None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skipped = 1 if cls and not static else 0
+                name = cls if child.name == "__init__" else child.name
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found.extend((name, i - skipped, arg.arg)
+                             for i, arg in enumerate(positional[first:], first))
+                found.extend((name, None, arg.arg)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def passes(call, position, parameter):
+    """Whether the call writes the parameter: by position, by keyword, or
+    through a starred argument."""
+    if position is not None and (len(call.args) > position
+                                 or any(isinstance(a, ast.Starred) for a in call.args)):
+        return True
+    return any(k.arg in (parameter, None) for k in call.keywords)
+
+
+def test_every_keyword_default_is_passed_by_a_program_call():
+    """A parameter with a default is a knob; some call in the library or the
+    benchmark sets it, or it is a constant.  A call matches a function by
+    name, and a class's __init__ by the class name."""
+    parameters = [
+        (path.stem, *found)
+        for path in sorted(SRC.glob("*.py"))
+        for found in defaulted_parameters(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert parameters
+    calls = {}
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{module}.{name}({parameter})" for module, name, position, parameter in parameters
+        if not any(passes(call, position, parameter) for call in calls.get(name, ()))
+    ]
+    assert unset == []
+
+
 # Report source labels that name no attribute of their module, with the reason.
 STALE_SOURCE_ALLOWED = {
     "verlinde.verlinde_p2": "p(2) now comes from verlinde(2); perfbench/audit.py pins the "

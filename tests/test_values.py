@@ -36,11 +36,9 @@ SAMPLES = [
     (_point, f"CurvePoint(curve={F7}, x=0, y=1, at_infinity=False)"),
     (lambda: hy.MumfordDivisor.from_point(_point()), DIVISOR),
     (lambda: hy.point_class(_point()), f"PicClass(base={DIVISOR}, degree=1)"),
-    (lambda: lefschetz.FixedPointDatum(1),
-     "FixedPointDatum(trace=Fraction(1, 1), jacobian_det=Fraction(2, 1))"),
-    (lambda: lefschetz.LefschetzScenario([lefschetz.FixedPointDatum(0, 3)], 1, 2, 1),
-     "LefschetzScenario(fixed_points=(FixedPointDatum(trace=Fraction(0, 1), "
-     "jacobian_det=Fraction(3, 1)),), h0_total=1, h1_total=2, h0_plus=1)"),
+    (lambda: lefschetz.LefschetzScenario([0, Fraction(3, 2)], 1, 2, 1),
+     "LefschetzScenario(traces=(Fraction(0, 1), Fraction(3, 2)), h0_total=1, h1_total=2, "
+     "h0_plus=1)"),
     (lambda: report.build_report()[0],
      "ReportRow(label='p(0)', computed='1', expected='1', source='verlinde.hilbert_values')"),
     (lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]), "Poly(GF(7), [1, 0, 3])"),
@@ -127,7 +125,6 @@ def test_init_takes_one_value_per_field():
 
 def test_defaults():
     assert bundles.BundleSymbol(2, 1).genus == 2
-    assert lefschetz.FixedPointDatum(1).jacobian_det == Fraction(2)
     infinity = hy.CurvePoint(hy.parse_curve(CURVE7), at_infinity=True)
     assert (infinity.x, infinity.y) == (None, None)
 
