@@ -63,17 +63,11 @@ class RationalField:
     """The field Q; elements are fractions.Fraction in lowest terms."""
 
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, value) -> Fraction:
         return Fraction(value)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def inv(self, a):
         if a == 0:
@@ -115,6 +109,9 @@ def _isqrt_exact(n: int) -> int | None:
 class PrimeField:
     """The field F_p; elements are ints reduced to 0..p-1."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int) -> None:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -131,14 +128,6 @@ class PrimeField:
                 raise ZeroDivisionError("denominator divisible by p")
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot map {type(value).__name__} {value!r} into {self!r}")
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def inv(self, a):
         if a % self.p == 0:

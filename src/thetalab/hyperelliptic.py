@@ -21,10 +21,9 @@ Each xgcd gives one Bezout cofactor, and the numerator is written so that
 it needs no other: a doubling uses only the cofactor of v1 + v2, and a
 coprime addition only that of u2.
 scalar_mul runs left to right over the width-4 NAF digits of |n|
-(Handbook, sec. 9.1), or over its binary digits when those cost fewer
-Cantor additions.  Riemann-Roch dimensions and translate intersections
-are derived from the group law, and Serre duality is K - L by the group
-law.  The two-torsion is written down in closed form instead: its 16
+(Handbook, sec. 9.1), its one digit expansion.  Riemann-Roch dimensions
+and translate intersections are derived from the group law, and Serre
+duality is K - L by the group law.  The two-torsion is written down in closed form instead: its 16
 classes have v = 0 and u a product of at most two factors x - e of f.
 
 The roots e of f are the Weierstrass points.  Over F_p one root finder on
@@ -36,14 +35,15 @@ polys.derivative.  Each root is checked f(e) = 0, and the Weierstrass
 points and the 16 classes of J[2] are then built through the slots.
 
 Over F_p with p <= ENUMERATION_FIELD_BOUND, every reduced pair is listed
-(Cantor, Math. Comp. 48, 1987; Cassels-Flynn, LMS LN 230, ch. 3) by
-solving v^2 = f (mod u) on each monic u of degree <= 2: for
-v = v1*x + v0 with v1 != 0, s = v1^2 is a root of one quadratic
-D s^2 + B s + r1^2 in the coefficients of u and of f mod u, so each u
-costs one square-root lookup and the whole list O(p^2) int work.  Each
-pair is checked in ints as it is found, and the list is cached per curve
-as two arrays of 2-byte indices into one table per field of every u and
-v a pair can hold: 4 bytes per pair.  The MumfordDivisor and PicClass
+(Cantor, Math. Comp. 48, 1987; Cassels-Flynn, LMS LN 230, ch. 3).  The
+pairs with deg u = 1 are the affine points of curve_points, u = x - x0 and
+v = y.  The rest are found by solving v^2 = f (mod u) on each monic
+quadratic u: for v = v1*x + v0 with v1 != 0, s = v1^2 is a root of one
+quadratic D s^2 + B s + r1^2 in the coefficients of u and of f mod u, so
+each u costs one square-root lookup and the whole list O(p^2) int work.
+Each pair is checked in ints as it is found, and the list is cached per
+curve as two arrays of 2-byte indices into one table per field of every
+u and v a pair can hold: 4 bytes per pair.  The MumfordDivisor and PicClass
 objects are built on each call.  The tables for all odd p <= 37 take
 about 1.1 MB.
 """
@@ -378,30 +378,17 @@ def _naf_digits(n: int) -> list[int]:
     return digits
 
 
-def _cantor_steps(digits: list[int]) -> int:
-    """Cantor additions scalar_mul spends on these digits: the odd
-    multiples 2a, 3a, ..., |top digit|*a, one doubling per digit after
-    the first, and one addition per nonzero digit after the first."""
-    top = max(abs(d) for d in digits)
-    odd_multiples = (top + 1) // 2 if top > 1 else 0
-    return odd_multiples + len(digits) - 1 + sum(1 for d in digits if d) - 1
-
-
 def scalar_mul(curve: HyperellipticCurve, a: MumfordDivisor, n: int) -> MumfordDivisor:
-    """n*a, left to right over the digits of |n|.
-
-    The digits are the width-4 NAF of |n| (Cohen-Frey et al., Handbook of
-    Elliptic and Hyperelliptic Curve Cryptography, sec. 9.1), with the odd
-    multiples 3a, 5a, 7a up to the largest digit computed once, unless
-    the binary digits cost fewer Cantor additions; both costs are counted
-    from the digits first, so no n costs more than binary double-and-add.
+    """n*a, left to right over the width-4 NAF digits of |n| (Cohen-Frey
+    et al., Handbook of Elliptic and Hyperelliptic Curve Cryptography,
+    sec. 9.1), with the odd multiples 3a, 5a, 7a up to the largest digit
+    computed once.
     """
     if n < 0:
         return scalar_mul(curve, negate(curve, a), -n)
     if n == 0:
         return MumfordDivisor.zero(curve)
-    binary = [(n >> i) & 1 for i in range(n.bit_length())]
-    digits = min(_naf_digits(n), binary, key=_cantor_steps)
+    digits = _naf_digits(n)
     odd = [a]
     top = max(abs(d) for d in digits)
     if top > 1:
@@ -552,15 +539,18 @@ def two_torsion(curve: HyperellipticCurve) -> list[PicClass]:
 def curve_points(curve: HyperellipticCurve) -> list[CurvePoint]:
     """All points over a small prime field, in (x, y) order, infinity last.
 
-    y runs over the square roots of f(x) in the field's root table; each
-    point is checked y^2 = f(x) in ints and built through the slots."""
+    f(x) is taken by Horner on the quintic's int coefficients, and y runs
+    over its square roots in the field's root table; each point is checked
+    y^2 = f(x) in ints and built through the slots."""
     p = _enumeration_field(curve).p
     roots = _square_roots(p)
     new = object.__new__
     set_curve, set_x = CurvePoint.curve.__set__, CurvePoint.x.__set__
     set_y, set_inf = CurvePoint.y.__set__, CurvePoint.at_infinity.__set__
+    c0, c1, c2, c3, c4 = curve.f.coeffs[:5]
     points = []
-    for x, z in enumerate(_f_values(curve.f, p)):
+    for x in range(p):
+        z = (((((x + c4) * x + c3) * x + c2) * x + c1) * x + c0) % p
         for y in roots[z]:
             if (y * y - z) % p:
                 raise InvariantViolated(f"({x}, {y}) is not on the curve")
@@ -594,12 +584,6 @@ def _square_roots(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(ys) for ys in roots)
 
 
-def _f_values(f: Poly, p: int) -> list[int]:
-    """f(x) for x = 0..p-1, by Horner on the monic quintic's int coefficients."""
-    c0, c1, c2, c3, c4 = f.coeffs[:5]
-    return [(((((x + c4) * x + c3) * x + c2) * x + c1) * x + c0) % p for x in range(p)]
-
-
 @cache
 def _poly_table(p: int) -> tuple[Poly, ...]:
     """Every u and v a reduced pair over F_p can hold, by index:
@@ -619,29 +603,24 @@ def _all_reduced(curve: HyperellipticCurve) -> tuple[array, array]:
     as two arrays of _poly_table indices (u, v), in MumfordDivisor._key order.
 
     v is solved for.  u = 1 has v = 0, and u = x - x0 has v = y for each
-    square root y of f(x0).  A monic quadratic u with f = r1*x + r0 (mod u)
+    point (x0, y) of curve_points, which checked y^2 = f(x0), taken in
+    u0 = -x0 order.  A monic quadratic u with f = r1*x + r0 (mod u)
     has v^2 = (2 v0 v1 - s u1)*x + (v0^2 - s u0) (mod u), s = v1^2.  With
     v1 = 0 that needs r1 = 0 and v0^2 = r0.  With v1 != 0 it needs
     v0 = (r1 + s u1) / (2 v1) and, substituted, D s^2 + B s + r1^2 = 0
     with D = u1^2 - 4 u0, B = 2 r1 u1 - 4 r0: one root-table lookup per u,
     so O(p^2) int work.  D = B = r1 = 0 would mean (x - a)^2 | f.  Every
-    pair found is checked by both congruences in ints.
+    quadratic pair found is checked by both congruences in ints.
     """
     p = _enumeration_field(curve).p
     roots = _square_roots(p)
     inv = [0] + [pow(a, -1, p) for a in range(1, p)]
     c0, c1, c2, c3, c4 = curve.f.coeffs[:5]
-    values = _f_values(curve.f, p)
     us, vs = array("H", [p * p]), array("H", [0])
     base = p * p + 1
-    for u0 in range(p):
-        x0 = -u0 % p
-        z = values[x0]
-        for y in roots[z]:
-            if (y * y - z) % p:
-                raise InvariantViolated(f"v = {y} does not solve v^2 = f({x0})")
-            us.append(base + u0)
-            vs.append(p * y)
+    for u0, y in sorted((-point.x % p, point.y) for point in curve_points(curve)[:-1]):
+        us.append(base + u0)
+        vs.append(p * y)
     base += p
     for u0 in range(p):
         for u1 in range(p):

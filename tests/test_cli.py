@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -567,3 +569,24 @@ class TestModuleEntry:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.endswith("21 rows, 21 match, 0 mismatch\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["report"],
+        ["report", "--format", "json"],
+        ["jac", "--curve", CURVE13, "theta-int", "--m", "u=x^2 + 4*x + 2; v=7*x + 8; d=0"],
+        ["jac", "--curve", CURVE13, "theta-int", "--m", "u=x; v=0; d=0"],
+        ["jac", "--curve", CURVE13, "two-torsion"],
+        ["jac", "--curve", CURVE13, "enumerate", "--degree", "1"],
+    ])
+    def test_optimized_interpreter_gives_the_same_output(self, argv):
+        """python -O strips assert statements, so no invariant may rest on
+        one: stdout, stderr and exit code match a run without -O."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = [subprocess.run([sys.executable, "-B", *flags, "-m", "thetalab.cli", *argv],
+                               capture_output=True, text=True, timeout=120, env=env)
+                for flags in ([], ["-O"])]
+        plain, optimized = [(proc.returncode, proc.stdout, proc.stderr) for proc in runs]
+        assert optimized == plain
+        assert plain[1] or plain[2]

@@ -651,10 +651,13 @@ class TestCantorCount:
         hy.scalar_mul(curve13, hy.parse_class(curve13, "u=x + 2; v=3").base, n)
         assert calls["n"] == expected
 
-    def test_scalar_mul_never_costs_more_than_binary(self, curve13, monkeypatch):
-        """The digits are chosen before any Cantor step, so the count
+    def test_scalar_mul_costs_its_naf_digits(self, curve13, monkeypatch):
+        """The digits are fixed before any Cantor step, so the count
         depends on n alone; a stand-in addition that returns its first
-        argument counts the steps without the arithmetic."""
+        argument counts the steps without the arithmetic.  The cost is the
+        odd multiples 2a, 3a, ..., t*a up to the top digit t, one doubling
+        per digit after the first and one addition per nonzero digit after
+        the first."""
         counter = {"n": 0}
 
         def counting_stub(curve, a, b):
@@ -667,8 +670,28 @@ class TestCantorCount:
         for n in list(range(1025)) + [rng.getrandbits(64) for _ in range(200)]:
             counter["n"] = 0
             hy.scalar_mul(curve13, a, n)
-            binary = n.bit_length() + bin(n).count("1") - 2 if n else 0
-            assert counter["n"] <= binary, n
+            expected = 0
+            if n:
+                digits = hy._naf_digits(n)
+                top = max(abs(d) for d in digits)
+                odd_multiples = (top + 1) // 2 if top > 1 else 0
+                nonzero = sum(1 for d in digits if d)
+                expected = odd_multiples + (len(digits) - 1) + (nonzero - 1)
+            assert counter["n"] == expected, n
+
+
+def test_naf_digits_are_a_width_4_naf():
+    """_naf_digits is the one digit expansion scalar_mul reads: low digit
+    first, summing to n, nonzero digits odd with |d| <= 7 and at least four
+    places apart, and the top digit positive."""
+    rng = random.Random(20261021)
+    for n in list(range(1, 4097)) + [rng.getrandbits(64) for _ in range(500)]:
+        digits = hy._naf_digits(n)
+        assert sum(d << i for i, d in enumerate(digits)) == n, n
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(digits[i] % 2 == 1 and abs(digits[i]) <= 7 for i in nonzero), n
+        assert all(j - i >= 4 for i, j in zip(nonzero, nonzero[1:])), n
+        assert digits[-1] > 0, n
 
 
 class TestCompositionOracle:
