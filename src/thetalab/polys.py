@@ -11,9 +11,13 @@ horner returns a list in that form.  Inputs must already be trimmed,
 since quo_rem, gcd and xgcd read the lead coefficient as the last entry:
 a Poly's coefficient tuple is, and a zero-padded vector such as Cyclo.num
 goes through trim first.  quo_rem and powmod divide only by a monic
-polynomial, and gcd and xgcd take a monic first argument and return a
-monic gcd; xgcd(a, b) returns (g, t) with t*b = g mod a, the one Bezout
-cofactor its callers use.  horner(a, x) is the value a(x) at any x that
+polynomial, and powmod raises ValueError for n < 0.  gcd and xgcd take a
+monic first argument and return a monic gcd; xgcd(a, b) returns (g, t)
+with t*b = g mod a, the one Bezout cofactor its callers use.  mul and
+quo_rem skip every zero factor, since Euclid's quotients and remainders
+on sparse inputs such as sines are mostly zeros, and mul starts each
+slot of the product at F.zero, so a slot that no product reaches is
+still a Fraction over Q.  horner(a, x) is the value a(x) at any x that
 combines with the coefficients by + and * (an int, a Fraction, an mpmath
 number), and it reduces nothing: the caller normalises it.
 
@@ -115,10 +119,12 @@ def sub(a, b, F) -> list:
 def mul(a, b, F) -> list:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [F.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for k, y in enumerate(b, i):
+                if y:
+                    out[k] += x * y
     return trim(out, F)
 
 
@@ -130,19 +136,23 @@ def quo_rem(a, m, F) -> tuple[list, list]:
     """Quotient and remainder of a by a monic m."""
     p = F.characteristic
     dm = len(m) - 1
+    tail = m[:dm]
     rem = list(a)
     quo = [0] * max(len(rem) - dm, 0)
     for k in range(len(rem) - 1 - dm, -1, -1):
         c = rem[k + dm] % p if p else rem[k + dm]
         quo[k] = c
         if c:
-            for i in range(dm):
-                rem[k + i] -= c * m[i]
+            for i, y in enumerate(tail, k):
+                if y:
+                    rem[i] -= c * y
     return quo, trim(rem[:dm], F)
 
 
 def powmod(a, n, m, F) -> list:
     """a^n mod a monic m, for n >= 0, by square and multiply from the top bit."""
+    if n < 0:
+        raise ValueError("powmod takes an exponent n >= 0")
     a = quo_rem(a, m, F)[1]
     acc = a if n else quo_rem([F.one], m, F)[1]
     for bit in bin(n)[3:]:

@@ -102,11 +102,13 @@ def test_polys_is_the_one_polynomial_kernel():
 # Functions outside polys that keep their own coefficient loop, with the
 # reason the kernel does not serve them.
 COEFFICIENT_LOOPS_ALLOWED = {
-    "exact._reduce": "keeps Phi_N's sparse tail cached per N: on a cyclo_sin input polys.quo_rem "
-                     "took 22-39 us against 9-15 us at N = 148 and 156 (BENCH_kernel_finish.json)",
-    "exact.Cyclo.__mul__": "skips the zero coefficients of both factors: through polys.mul a "
-                           "product of two sines took 125-129 against 17-19 us at N = 148 "
-                           "(BENCH_kernel_finish.json)",
+    "exact._reduce": "keeps Phi_N's sparse tail cached per N: on a cyclo_sin input polys.quo_rem, "
+                     "which skips zero divisor coefficients, took 18-38 us against 9-13 us at "
+                     "N = 148 and 156, 2.0-3.2x slower over N = 40 to 156 (BENCH_sparse_kernel.json)",
+    "exact.Cyclo.__mul__": "skips the zero coefficients of both factors: through polys.mul, which "
+                           "skips them too but returns Fractions over Q that Cyclo turns back into "
+                           "ints, a product of two sines took 34-41 against 13-17 us at N = 148 "
+                           "and 156, 2.4-2.8x slower (BENCH_sparse_kernel.json)",
 }
 
 
