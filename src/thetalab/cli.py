@@ -4,11 +4,14 @@ Every output is exact (integers or a/b rationals) and reproducible
 byte-for-byte; floating approximations appear only behind --approx.
 Exit codes: 0 success, 1 domain error or report mismatch, 2 usage error.
 Domain errors print a single machine-parsable line
-``error: <CODE>: <message>`` to stderr.
+``error: <CODE>: <message>`` to stderr, and nothing to stdout: a command's
+output is held until it returns.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 
 from . import bundles, hilbert, lefschetz, report, verlinde
@@ -181,7 +184,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = args.func(args)
     except ThetaLabError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
@@ -189,6 +193,8 @@ def main(argv=None) -> int:
         code = "DIVISION_BY_ZERO" if isinstance(exc, ZeroDivisionError) else "INVALID_INPUT"
         print(f"error: {code}: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return rc
 
 
 if __name__ == "__main__":

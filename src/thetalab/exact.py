@@ -93,7 +93,7 @@ class Cyclo(Value):
 
     __slots__ = ("modulus", "num", "den")
 
-    def __init__(self, modulus: int, num=(), den: int = 1) -> None:
+    def __init__(self, modulus: int, num, den: int) -> None:
         """num / den from at most phi(modulus) ints, padded with zeros, and
         den >= 1, stored in lowest terms."""
         phi, _ = _reducer(modulus)
@@ -108,7 +108,7 @@ class Cyclo(Value):
         object.__setattr__(self, "den", den // g)
 
     @classmethod
-    def _from_terms(cls, modulus: int, terms, den: int = 1) -> Cyclo:
+    def _from_terms(cls, modulus: int, terms, den: int) -> Cyclo:
         """(sum of c * zeta^e over the (e, c) in terms) / den."""
         _reducer(modulus)  # rejects a modulus < 1 before the index map
         c = [0] * modulus

@@ -95,9 +95,6 @@ class RationalField:
     def __repr__(self) -> str:
         return "QQ"
 
-    def __str__(self) -> str:
-        return "Q"
-
 
 def _isqrt_exact(n: int) -> int | None:
     from math import isqrt
@@ -165,9 +162,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
-
-    def __str__(self) -> str:
-        return f"Fp:{self.p}"
 
 
 QQ = RationalField()

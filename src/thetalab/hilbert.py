@@ -35,10 +35,6 @@ def _frame(n):
 class HilbertFit(Value):
     __slots__ = ("gamma", "sigma", "pi", "chern_degree")
 
-    def evaluate(self, n) -> Fraction:
-        m = Fraction((n + 3) ** 2)
-        return self.gamma * _frame(Fraction(n)) * (m * m - self.sigma * m + self.pi)
-
 
 def fit_hilbert(p0, p1, p2) -> HilbertFit:
     """Solve for (gamma, sigma, pi) from the values at n = 0, 1, 2.

@@ -21,10 +21,10 @@ Each xgcd gives one Bezout cofactor, and the numerator is written so that
 it needs no other: a doubling uses only the cofactor of v1 + v2, and a
 coprime addition only that of u2.
 scalar_mul runs left to right over the width-4 NAF digits of |n|
-(Handbook, sec. 9.1), its one digit expansion.  Riemann-Roch dimensions
-and translate intersections are derived from the group law, and Serre
-duality is K - L by the group law.  The two-torsion is written down in closed form instead: its 16
-classes have v = 0 and u a product of at most two factors x - e of f.
+(Handbook, sec. 9.1), its one digit expansion.  PicClass only adds.
+Riemann-Roch dimensions and translate intersections are derived from the
+group law.  The two-torsion is written down in closed form instead: its
+16 classes have v = 0 and u a product of at most two factors x - e of f.
 
 The roots e of f are the Weierstrass points.  Over F_p one root finder on
 coefficient lists mod p finds them: gcd(f, x^p - x), then splitting by
@@ -114,15 +114,11 @@ class HyperellipticCurve(Value):
     def infinity(self) -> CurvePoint:
         return CurvePoint(self, None, None, True)
 
-    def __str__(self) -> str:
-        coeffs = ",".join(str(c) for c in (list(self.f.coeffs[:5]) + [0, 0, 0, 0, 0])[:5])
-        return f"field={self.field}; f={coeffs}"
-
 
 class CurvePoint(Value):
     __slots__ = ("curve", "x", "y", "at_infinity")
 
-    def __init__(self, curve: HyperellipticCurve, x=None, y=None, at_infinity: bool = False) -> None:
+    def __init__(self, curve: HyperellipticCurve, x, y, at_infinity: bool = False) -> None:
         super().__init__(curve, x, y, at_infinity)
         if not self.at_infinity:
             if self.curve.field(self.y * self.y) != self.curve.f(self.x):
@@ -420,19 +416,6 @@ class PicClass(Value):
             return NotImplemented
         return PicClass(cantor_add(self.curve, self.base, other.base),
                         self.degree + other.degree)
-
-    def __neg__(self) -> PicClass:
-        return PicClass(negate(self.curve, self.base), -self.degree)
-
-    def __sub__(self, other: PicClass) -> PicClass:
-        return self + (-other)
-
-    def __mul__(self, n: int) -> PicClass:
-        if not isinstance(n, int):
-            return NotImplemented
-        return PicClass(scalar_mul(self.curve, self.base, n), self.degree * n)
-
-    __rmul__ = __mul__
 
     def _key(self):
         return (self.degree,) + self.base._key()

@@ -38,7 +38,7 @@ from .value import Value
 class Poly(Value):
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs=()) -> None:
+    def __init__(self, field, coeffs) -> None:
         cs = [field(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()

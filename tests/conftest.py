@@ -19,6 +19,21 @@ def canonical_class(curve):
     return hy.PicClass(hy.MumfordDivisor.zero(curve), 2)
 
 
+# PicClass adds classes and nothing else; negatives, differences and
+# multiples go through the library's negate and scalar_mul.
+
+def class_neg(a):
+    return hy.PicClass(hy.negate(a.curve, a.base), -a.degree)
+
+
+def class_sub(a, b):
+    return a + class_neg(b)
+
+
+def class_mul(n, a):
+    return hy.PicClass(hy.scalar_mul(a.curve, a.base, n), n * a.degree)
+
+
 @pytest.fixture(scope="session")
 def curve13():
     return hy.parse_curve(CURVE13_SPEC)

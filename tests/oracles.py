@@ -120,6 +120,22 @@ def mp_sin(k: int, m: int):
         return mpmath.sin(mpmath.pi * k / m)
 
 
+def hilbert_value(fit, n) -> Fraction:
+    """The fitted polynomial at n: gamma * (n+1)(n+2)(n+3)^2(n+4)(n+5) *
+    (M^2 - sigma*M + pi) with M = (n+3)^2."""
+    m = (n + 3) ** 2
+    frame = (n + 1) * (n + 2) * m * (n + 4) * (n + 5)
+    return fit.gamma * frame * (m * m - fit.sigma * m + fit.pi)
+
+
+def planted_roots(roots, p: int, tail=(1,)) -> list[int]:
+    """Coefficients, low to high, of tail * prod (x - r) mod p."""
+    coeffs = list(tail)
+    for r in roots:
+        coeffs = [(a - r * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def ref_cyclotomic_polynomial(n: int) -> Poly:
     """Phi_n over Q as (x^n - 1) / prod of Phi_d over proper divisors d."""

@@ -335,7 +335,7 @@ class TestErrorCodes:
     @pytest.mark.parametrize("code,argv", CASES, ids=[c for c, _ in CASES])
     def test_error_line(self, capsys, code, argv):
         rc, out, err = run_cli(capsys, *argv)
-        assert rc == 1
+        assert (rc, out) == (1, "")
         assert err.startswith(f"error: {code}: ")
         assert err.count("\n") == 1
 
@@ -382,6 +382,9 @@ class TestBoundedInput:
         ["fit", "--values", "1,1E-30000000,2"],
         ["jac", "--curve", "field=Fp:13; f=1e30000000,-1,0,0,0", "weierstrass"],
         ["jac", "--curve", "field=Q; f=0,-1,0,0,-1e-30000000", "weierstrass"],
+        # gamma and sigma print, but pi has more digits than an int may be
+        # converted to: the output printed before the error is dropped too
+        ["fit", "--values", "1,1,1e4300"],
     ])
     def test_huge_exponent_rejected_quickly(self, capsys, argv):
         start = time.perf_counter()
@@ -496,10 +499,20 @@ def _class_spec(draw, curve):
     return "; ".join(parts)
 
 
+# Decimal exponents up to the int string digit limit and just past it,
+# mostly among small ints, where a fit's values can parse and its output
+# still be too long to print.
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_HUGE = st.builds("{}e{}".format, st.sampled_from(["1", "-3", "2.5", "9.99"]),
+                  st.one_of(st.integers(_DIGIT_LIMIT - 6, _DIGIT_LIMIT),
+                            st.integers(-_DIGIT_LIMIT - 2, _DIGIT_LIMIT + 2)))
 _FIT_VALUES = st.one_of(
     st.lists(st.one_of(*[_NUMBER.map(str)] * 4, _JUNK),
              min_size=2, max_size=4).map(",".join),
     st.integers(-10 ** 30, 10 ** 30).map(lambda k: f"{k},{10 * k},{58 * k}"),
+    st.lists(st.one_of(_HUGE, st.integers(-50, 50).map(str)), min_size=3, max_size=3)
+    .map(",".join),
+    st.lists(st.one_of(_HUGE, _NUMBER.map(str), _JUNK), min_size=2, max_size=4).map(",".join),
 )
 
 
@@ -540,7 +553,7 @@ class TestFuzz:
             argv.append(f"{flag}={data.draw(_class_spec(curve))}")
         self.check(argv)
 
-    @settings(max_examples=60, deadline=2000)
+    @settings(max_examples=120, deadline=2000)
     @given(values=_FIT_VALUES)
     def test_fit_values(self, values):
         joined = self.check(["fit", f"--values={values}"])

@@ -16,14 +16,6 @@ import oracles
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _expand(roots, p, tail=(1,)):
-    """Coefficients, low to high, of tail * prod (x - r) mod p."""
-    coeffs = list(tail)
-    for r in roots:
-        coeffs = [(a - r * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
-    return coeffs
-
-
 def _seeded_curves(p):
     """A random squarefree quintic over F_p, and one with as many roots in
     F_p as it can have: five distinct ones, or 0, 1, 2 times x^2 + 1 at p = 3."""
@@ -35,9 +27,9 @@ def _seeded_curves(p):
         except hy.NotSquarefree:
             pass
     if p == 3:
-        split = _expand([0, 1, 2], p, tail=(1, 0, 1))
+        split = oracles.planted_roots([0, 1, 2], p, tail=(1, 0, 1))
     else:
-        split = _expand(rng.sample(range(p), 5), p)
+        split = oracles.planted_roots(rng.sample(range(p), 5), p)
     return generic, hy.new_curve(f"Fp:{p}", split[:5])
 
 
@@ -90,7 +82,8 @@ class TestReducedPairs:
         """D = B = r1 = 0 at u = x^2 means x^2 divides f, which the solver
         refuses instead of skipping; HyperellipticCurve never lets it in."""
         curve = object.__new__(hy.HyperellipticCurve)
-        object.__setattr__(curve, "f", Poly(PrimeField(7), _expand([0, 0, 1, 2, 3], 7)))
+        f = oracles.planted_roots([0, 0, 1, 2, 3], 7)
+        object.__setattr__(curve, "f", Poly(PrimeField(7), f))
         with pytest.raises(hy.InvariantViolated, match="divides f"):
             hy._all_reduced.__wrapped__(curve)
 

@@ -12,7 +12,7 @@ from oracles import mp_sin, ref_add, ref_inverse, ref_mul, ref_sin
 
 def zeta(n, k):
     """zeta_n^k as a canonical element."""
-    return Cyclo._from_terms(n, ((k, 1),))
+    return Cyclo._from_terms(n, ((k, 1),), 1)
 
 
 class TestCyclotomicPolynomial:
@@ -43,7 +43,7 @@ class TestCyclotomicPolynomial:
         for n in range(1, 201):
             expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
             assert _phi_ints(n) == tuple(expected)
-            assert len(Cyclo(n).num) == sympy.totient(n)
+            assert len(Cyclo(n, (), 1).num) == sympy.totient(n)
 
     def test_product_over_divisors(self):
         import sympy
@@ -62,10 +62,10 @@ class TestConstructor:
     lowest terms."""
 
     def test_pads_with_zeros(self):
-        x = Cyclo(20, (3, -1))
+        x = Cyclo(20, (3, -1), 1)
         assert x.num == (3, -1, 0, 0, 0, 0, 0, 0)
         assert x.den == 1
-        assert Cyclo(20).num == (0,) * 8
+        assert Cyclo(20, (), 1).num == (0,) * 8
 
     def test_lowest_terms(self):
         x = Cyclo(5, (6, -4, 0, 10), 8)
@@ -77,9 +77,9 @@ class TestConstructor:
 
     def test_rejects_more_than_phi_entries(self):
         with pytest.raises(ValueError, match="longer than phi"):
-            Cyclo(5, (1, 2, 3, 4, 5))
+            Cyclo(5, (1, 2, 3, 4, 5), 1)
         with pytest.raises(ValueError, match="longer than phi"):
-            Cyclo(1, (1, 0))
+            Cyclo(1, (1, 0), 1)
 
     @pytest.mark.parametrize("den", [0, -1, -6])
     def test_rejects_den_below_one(self, den):
@@ -192,10 +192,10 @@ def test_kernel_matches_poly_route_for_every_sine_modulus():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Cyclo(0),
+    lambda: Cyclo(0, (), 1),
     lambda: Cyclo(-4, (1,), 3),
-    lambda: Cyclo._from_terms(0, ((1, 1),)),
-    lambda: Cyclo._from_terms(-3, ((1, 1),)),
+    lambda: Cyclo._from_terms(0, ((1, 1),), 1),
+    lambda: Cyclo._from_terms(-3, ((1, 1),), 1),
     lambda: cyclo_sin(1, 2).promote(0),
     lambda: cyclo_sin(1, 2).promote(-4),
     lambda: cyclo_sin(1, 2).promote(-3),
@@ -213,7 +213,7 @@ def elements(modulus):
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         min_size=0, max_size=6,
     ).map(lambda cs: sum((zeta(modulus, j) * c for j, c in enumerate(cs)),
-                         Cyclo(modulus)))
+                         Cyclo(modulus, (), 1)))
 
 
 class TestCycloField:

@@ -72,14 +72,18 @@ def monic_of(F, g):
     return list(from_sympy(F, to_sympy(g).monic()))
 
 
-@pytest.fixture(params=FIELDS, ids=str)
+def field_name(F):
+    return "Q" if F is QQ else f"Fp:{F.p}"
+
+
+@pytest.fixture(params=FIELDS, ids=field_name)
 def field(request):
     return request.param
 
 
 @pytest.fixture()
 def prng(field):
-    return random.Random(f"polys-{field}")
+    return random.Random(f"polys-{field_name(field)}")
 
 
 def test_ring_operations(field, prng):

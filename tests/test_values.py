@@ -11,6 +11,8 @@ from thetalab.exact import Cyclo, cyclo_sin
 from thetalab.polys import Poly
 from thetalab.value import Value
 
+from conftest import class_mul
+
 CURVE7 = "field=Fp:7; f=1,0,0,0,0"
 F7 = "HyperellipticCurve(f=Poly(GF(7), [1, 0, 0, 0, 0, 1]))"
 DIVISOR = f"MumfordDivisor(curve={F7}, u=Poly(GF(7), [0, 1]), v=Poly(GF(7), [1]))"
@@ -125,8 +127,6 @@ def test_init_takes_one_value_per_field():
 
 def test_defaults():
     assert bundles.BundleSymbol(2, 1).genus == 2
-    infinity = hy.CurvePoint(hy.parse_curve(CURVE7), at_infinity=True)
-    assert (infinity.x, infinity.y) == (None, None)
 
 
 def test_keyword_construction():
@@ -142,12 +142,12 @@ def test_pickle_round_trip():
 @pytest.mark.parametrize("make", [
     lambda: Poly(hy.parse_curve(CURVE7).field, [1, 0, 3]),
     lambda: cyclo_sin(1, 5) + Cyclo(3, (1, 8), 2),
-    *(lambda n=n: Cyclo._from_terms(n, ((3, 1),)) * Fraction(3, 5) + Fraction(-1, 2)
+    *(lambda n=n: Cyclo._from_terms(n, ((3, 1),), 1) * Fraction(3, 5) + Fraction(-1, 2)
       for n in (1, 4, 20, 148)),
     lambda: hy.parse_curve(CURVE7),
     lambda: hy.new_curve("Q", [0, 24, -50, 35, -10]),
     lambda: hy.MumfordDivisor.from_point(_point()),
-    lambda: hy.point_class(_point()) * 3,
+    lambda: class_mul(3, hy.point_class(_point())),
 ], ids=["poly", "cyclo", "cyclo-1", "cyclo-4", "cyclo-20", "cyclo-148",
         "curve", "curve_q", "divisor", "class"])
 @pytest.mark.parametrize("clone", [
