@@ -191,7 +191,11 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         code = "DIVISION_BY_ZERO" if isinstance(exc, ZeroDivisionError) else "INVALID_INPUT"
-        print(f"error: {code}: {exc}", file=sys.stderr)
+        message = str(exc)
+        if message.endswith("use sys.set_int_max_str_digits() to increase the limit"):
+            # Python's int digit-limit error, whose advice a CLI user cannot follow
+            message = f"a number has more than {sys.get_int_max_str_digits()} digits"
+        print(f"error: {code}: {message}", file=sys.stderr)
         return 1
     sys.stdout.write(out.getvalue())
     return rc

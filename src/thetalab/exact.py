@@ -65,8 +65,8 @@ def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _reduce(n: int, c: list[int]) -> list[int]:
-    """c mod Phi_n as a list of phi(n) ints, by one long division; c is
-    overwritten."""
+    """c mod Phi_n as a list of phi(n) ints, by one long division; c has
+    at least phi(n) entries and is overwritten."""
     phi, tail = _reducer(n)
     for k in range(len(c) - 1, phi - 1, -1):
         t = c[k]
@@ -74,10 +74,7 @@ def _reduce(n: int, c: list[int]) -> list[int]:
             base = k - phi
             for i, p in tail:
                 c[base + i] -= t * p
-    if len(c) < phi:
-        c.extend([0] * (phi - len(c)))
-    else:
-        del c[phi:]
+    del c[phi:]
     return c
 
 

@@ -135,7 +135,7 @@ class PrimeField:
         """The smaller square root of a, or None if a is a nonresidue, by Euler's
         criterion and Tonelli-Shanks (Cohen, Alg. 1.5.1); nothing is cached."""
         p, a = self.p, a % self.p
-        if a == 0 or p == 2:
+        if a == 0:
             return a
         if pow(a, (p - 1) // 2, p) != 1:
             return None
@@ -168,9 +168,7 @@ QQ = RationalField()
 
 
 def field_from_spec(spec) -> RationalField | PrimeField:
-    """Parse a field descriptor: 'Q', 'Fp:<p>', or an existing field object."""
-    if isinstance(spec, (RationalField, PrimeField)):
-        return spec
+    """Parse a field descriptor: 'Q' or 'Fp:<p>'."""
     if isinstance(spec, str):
         text = spec.strip()
         if text == "Q":

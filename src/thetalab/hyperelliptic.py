@@ -20,7 +20,7 @@ sign) have gcd(u1, u2) = u2, and coprime u's have gcd(1, v1 + v2) = 1.
 Each xgcd gives one Bezout cofactor, and the numerator is written so that
 it needs no other: a doubling uses only the cofactor of v1 + v2, and a
 coprime addition only that of u2.
-scalar_mul runs left to right over the width-4 NAF digits of |n|
+scalar_mul runs left to right over the width-4 NAF digits of n
 (Handbook, sec. 9.1), its one digit expansion.  PicClass only adds.
 Riemann-Roch dimensions and translate intersections are derived from the
 group law.  The two-torsion is written down in closed form instead: its
@@ -103,7 +103,7 @@ class HyperellipticCurve(Value):
         super().__init__(f)
         if self.field.characteristic == 2:
             raise EvenCharacteristic("the base field has characteristic 2")
-        if self.f.degree != 5 or self.f.lc() != self.field.one:
+        if self.f.degree != 5 or self.f.coeffs[-1] != self.field.one:
             raise ValueError("f must be a monic quintic")
         if len(gcd(self.f.coeffs, derivative(self.f.coeffs, self.field), self.field)) != 1:
             raise NotSquarefree("f has a repeated root")
@@ -242,7 +242,7 @@ class MumfordDivisor(Value):
     def __init__(self, curve: HyperellipticCurve, u: Poly, v: Poly) -> None:
         super().__init__(curve, u, v)
         F = self.curve.field
-        if self.u.is_zero or self.u.lc() != F.one:
+        if self.u.is_zero or self.u.coeffs[-1] != F.one:
             raise ValueError("u must be monic")
         if self.u.degree > 2:
             raise ValueError("reduced pairs have deg u <= 2")
@@ -358,7 +358,7 @@ NAF_WIDTH = 4
 
 
 def _naf_digits(n: int) -> list[int]:
-    """Width-4 NAF of n > 0, low digit first: odd digits in -7..7, each
+    """Width-4 NAF of n != 0, low digit first: odd digits in -7..7, each
     nonzero digit followed by at least three zeros."""
     size = 1 << NAF_WIDTH
     digits = []
@@ -375,13 +375,11 @@ def _naf_digits(n: int) -> list[int]:
 
 
 def scalar_mul(curve: HyperellipticCurve, a: MumfordDivisor, n: int) -> MumfordDivisor:
-    """n*a, left to right over the width-4 NAF digits of |n| (Cohen-Frey
+    """n*a, left to right over the width-4 NAF digits of n (Cohen-Frey
     et al., Handbook of Elliptic and Hyperelliptic Curve Cryptography,
     sec. 9.1), with the odd multiples 3a, 5a, 7a up to the largest digit
     computed once.
     """
-    if n < 0:
-        return scalar_mul(curve, negate(curve, a), -n)
     if n == 0:
         return MumfordDivisor.zero(curve)
     digits = _naf_digits(n)

@@ -56,11 +56,6 @@ class Poly(Value):
     def __getitem__(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
 
-    def lc(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __call__(self, x):
         return self.field(horner(self.coeffs, x))
 

@@ -54,11 +54,6 @@ def curveq():
     return hy.new_curve("Q", CURVEQ_COEFFS)
 
 
-@pytest.fixture(scope="session")
-def pic13(curve13):
-    return hy.enumerate_pic(curve13, 0)
-
-
 @pytest.fixture()
 def rng():
     return random.Random(20260825)

@@ -69,7 +69,7 @@ def div_mod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if dq < 0:
         return Poly(F, ()), a
     out = [F.zero] * (dq + 1)
-    inv_lc = F.inv(b.lc())
+    inv_lc = F.inv(b.coeffs[-1])
     for k in range(dq, -1, -1):
         c = F(rest[k + b.degree] * inv_lc)
         out[k] = c
@@ -92,7 +92,7 @@ def rem(a: Poly, b: Poly) -> Poly:
 def monic(a: Poly) -> Poly:
     if a.is_zero:
         return a
-    return times(a, Poly(a.field, (a.field.inv(a.lc()),)))
+    return times(a, Poly(a.field, (a.field.inv(a.coeffs[-1]),)))
 
 
 def ref_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -110,7 +110,7 @@ def ref_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, minus(t0, times(q, t1))
     if r0.is_zero:
         return r0, s0, t0
-    scale = Poly(F, (F.inv(r0.lc()),))
+    scale = Poly(F, (F.inv(r0.coeffs[-1]),))
     return times(r0, scale), times(s0, scale), times(t0, scale)
 
 

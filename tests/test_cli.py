@@ -393,6 +393,31 @@ class TestBoundedInput:
         assert (rc, out) == (1, "")
         assert err.startswith("error: INVALID_INPUT: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--values", "1,1,1e4300"],
+        ["fit", "--values", "1e-4300,1,1"],
+        ["fit", "--values", "1e4299,1,1"],
+        ["jac", "--curve", CURVE13, "add", "--a", "u=x; v=0; d=" + "9" * 4300,
+         "--b", "u=x; v=0; d=" + "9" * 4300],
+        ["jac", "--curve", CURVE13, "add", "--a", "u=x; v=0; d=" + "9" * 5000, "--b", "u=x; v=0"],
+        ["jac", "--curve", CURVE13, "h0", "--class", f"u=x^{'1' * 5000}; v=0"],
+        ["jac", "--curve", CURVE13, "h0", "--class", f"u={'1' * 5000}*x + 1; v=0"],
+        ["jac", "--curve", f"field=Fp:{'1' * 5000}; f=0,-1,0,0,0", "weierstrass"],
+    ], ids=["fit-pi", "fit-tiny", "fit-big", "add-degree-sum", "add-degree", "h0-exponent",
+            "h0-coefficient", "modulus"])
+    def test_digit_limit_named_in_one_line(self, capsys, argv):
+        """A number past the int string digit limit, read or to be printed,
+        gives one line naming the limit, not Python's advice to raise it."""
+        limit = sys.get_int_max_str_digits()
+        assert run_cli(capsys, *argv) == (
+            1, "", f"error: INVALID_INPUT: a number has more than {limit} digits\n")
+
+    def test_digit_limit_advice_in_an_echoed_input_is_kept(self, capsys):
+        spec = "field=Fp:use sys.set_int_max_str_digits() to increase the limit; f=0,-1,0,0,0"
+        rc, out, err = run_cli(capsys, "jac", "--curve", spec, "weierstrass")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: INVALID_INPUT: invalid literal for int()")
+
     def test_huge_constant_over_q_does_not_split_quickly(self, capsys):
         """Rational roots come from a root mod a small prime, not from the
         divisors of the constant term."""

@@ -66,7 +66,7 @@ class TestFieldCall:
 
     def test_float_lead_coefficient_is_not_truncated_to_monic(self):
         with pytest.raises(TypeError):
-            new_curve(PrimeField(13), [0, -1, 0, 0, 0, 1.2])
+            new_curve("Fp:13", [0, -1, 0, 0, 0, 1.2])
 
     def test_rationals_convert_floats_exactly(self):
         assert QQ(1.5) == Fraction(3, 2)

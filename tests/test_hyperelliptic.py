@@ -647,7 +647,8 @@ class TestCantorCount:
         argument counts the steps without the arithmetic.  The cost is the
         odd multiples 2a, 3a, ..., t*a up to the top digit t, one doubling
         per digit after the first and one addition per nonzero digit after
-        the first."""
+        the first; a negative n reads its own digits, the negated digits of
+        -n."""
         counter = {"n": 0}
 
         def counting_stub(curve, a, b):
@@ -657,7 +658,7 @@ class TestCantorCount:
         monkeypatch.setattr(hy, "cantor_add", counting_stub)
         a = hy.parse_class(curve13, "u=x + 2; v=3").base
         rng = random.Random(20261020)
-        for n in list(range(1025)) + [rng.getrandbits(64) for _ in range(200)]:
+        for n in list(range(-1024, 1025)) + [rng.getrandbits(64) for _ in range(200)]:
             counter["n"] = 0
             hy.scalar_mul(curve13, a, n)
             expected = 0
@@ -673,15 +674,17 @@ class TestCantorCount:
 def test_naf_digits_are_a_width_4_naf():
     """_naf_digits is the one digit expansion scalar_mul reads: low digit
     first, summing to n, nonzero digits odd with |d| <= 7 and at least four
-    places apart, and the top digit positive."""
+    places apart, and the top digit of n's sign, for negative n too."""
     rng = random.Random(20261021)
-    for n in list(range(1, 4097)) + [rng.getrandbits(64) for _ in range(500)]:
+    positive = list(range(1, 4097)) + [rng.getrandbits(64) for _ in range(500)]
+    negative = list(range(-4096, 0)) + [-rng.getrandbits(64) for _ in range(500)]
+    for n in positive + negative:
         digits = hy._naf_digits(n)
         assert sum(d << i for i, d in enumerate(digits)) == n, n
         nonzero = [i for i, d in enumerate(digits) if d]
         assert all(digits[i] % 2 == 1 and abs(digits[i]) <= 7 for i in nonzero), n
         assert all(j - i >= 4 for i, j in zip(nonzero, nonzero[1:])), n
-        assert digits[-1] > 0, n
+        assert (digits[-1] > 0) == (n > 0), n
 
 
 class TestCompositionOracle:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_pow_mod
+from sympy.polys.galoistools import gf_pow_mod, gf_rem
 
 from thetalab.exact import cyclo_sin
 from thetalab.fields import PrimeField, QQ
@@ -127,20 +127,29 @@ def test_gcd_and_xgcd(field, prng):
 
 
 def test_powmod(field, prng):
-    """a^n mod a monic m: against gf_pow_mod over F_p, n = 0 and n = p
-    included, and against sympy.rem(a**n, m) over Q for n <= 30."""
+    """a^n mod a monic m: against gf_pow_mod reduced mod m over F_p (it
+    gives 1 for n = 0 even when m = 1), n = 0 and n = p included, and
+    against sympy.rem(a**n, m) over Q for n <= 30; n = 0 with m = 1 is a
+    fixed input."""
+
+    def check(a, n, m):
+        got = polys.powmod(a.coeffs, n, m, field)
+        if field is QQ:
+            assert same(field, got, sympy.rem(to_sympy(a) ** n, to_sympy(Poly(field, m))))
+        else:
+            power = gf_pow_mod(list(reversed(a.coeffs)), n, m[::-1], field.p, ZZ)
+            expected = gf_rem(power, m[::-1], field.p, ZZ)
+            assert canonical(field, got) and got == [int(c) for c in reversed(expected)]
+
+    check(Poly(field, (2, 1)), 0, [field.one])
     for case in range(CASES):
         a = random_poly(prng, field)
         m = monic_of(field, nonzero_poly(prng, field, 5))
         if field is QQ:
             n = (0, 30)[case] if case < 2 else prng.randrange(31)
-            expected = sympy.rem(to_sympy(a) ** n, to_sympy(Poly(field, m)))
-            assert same(field, polys.powmod(a.coeffs, n, m, field), expected)
         else:
             n = (0, field.p)[case] if case < 2 else prng.randrange(2 * field.p + 100)
-            expected = gf_pow_mod(list(reversed(a.coeffs)), n, m[::-1], field.p, ZZ)
-            got = polys.powmod(a.coeffs, n, m, field)
-            assert canonical(field, got) and got == [int(c) for c in reversed(expected)]
+        check(a, n, m)
 
 
 def test_powmod_rejects_a_negative_exponent(field):
@@ -306,7 +315,7 @@ def test_evaluation_derivative_and_monic(field, prng):
             assert 0 <= g(point) < field.p
         assert same(field, polys.derivative(g.coeffs, field), sg.diff(X))
         if not g.is_zero:
-            assert same(field, polys.scale(g.coeffs, field.inv(g.lc()), field), sg.monic())
+            assert same(field, polys.scale(g.coeffs, field.inv(g.coeffs[-1]), field), sg.monic())
 
 
 def test_parse_poly_rejects_a_term_above_the_bound():
